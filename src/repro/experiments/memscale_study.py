@@ -343,6 +343,7 @@ def _collect_run(
     out["sketch"] = cell_sketch(f"{mode}/{trackers}/", sojourns, small, out)
     if trace:
         out["trace_digest"] = cluster.sim.trace_log.digest()
+        out["science_digest"] = cluster.sim.trace_log.science_digest()
     if profile:
         from repro.telemetry.profiling import engine_stats
 

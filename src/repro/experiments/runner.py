@@ -236,8 +236,14 @@ def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
     unpickle (truncated by a crash mid-write outside the atomic path,
     bit-rotted, wrong format) is quarantined to ``<key>.pkl.corrupt``
     with a stderr warning and treated as a miss -- the cell re-runs
-    instead of the sweep crashing on its own cache.
+    instead of the sweep crashing on its own cache.  A result written
+    by another source tree (another
+    :func:`~repro.checkpoint.core.schema_fingerprint`) is a miss too,
+    with a note but no quarantine: the cell key names the inputs, not
+    the code that computed the result.
     """
+    from repro.checkpoint.core import schema_fingerprint
+
     path = _cache_path(directory, cell)
     try:
         fh = open(path, "rb")
@@ -245,7 +251,8 @@ def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
         return False, None
     try:
         with fh:
-            return True, pickle.load(fh)
+            entry = pickle.load(fh)
+        schema, result = entry["schema"], entry["result"]
     except Exception as exc:
         quarantine = f"{path}.corrupt"
         try:
@@ -259,15 +266,27 @@ def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
             file=sys.stderr,
         )
         return False, None
+    if schema != schema_fingerprint():
+        print(
+            f"note: cell cache {path} was written by another source tree "
+            f"(schema {schema}); re-running the cell",
+            file=sys.stderr,
+        )
+        return False, None
+    return True, result
 
 
 def _cache_write(directory: str, cell: Cell, result: Any) -> None:
     """Atomic (tmp + rename) result write, so a kill mid-write never
-    leaves a half-cached cell behind."""
+    leaves a half-cached cell behind.  The entry carries the source
+    tree's schema fingerprint next to the result."""
+    from repro.checkpoint.core import schema_fingerprint
+
     path = _cache_path(directory, cell)
     tmp = f"{path}.tmp.{os.getpid()}"
+    entry = {"schema": schema_fingerprint(), "result": result}
     with open(tmp, "wb") as fh:
-        pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
     os.replace(tmp, path)
 
 

@@ -262,6 +262,7 @@ def _collect_run(
     )
     if trace:
         out["trace_digest"] = cluster.sim.trace_log.digest()
+        out["science_digest"] = cluster.sim.trace_log.science_digest()
     if profile:
         from repro.telemetry.profiling import engine_stats
 

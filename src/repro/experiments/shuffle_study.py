@@ -181,6 +181,7 @@ def _run_once(
     )
     if trace:
         out["trace_digest"] = cluster.sim.trace_log.digest()
+        out["science_digest"] = cluster.sim.trace_log.science_digest()
     if profile:
         from repro.telemetry.profiling import engine_stats
 

@@ -222,13 +222,15 @@ class TaskTracker:
         report = self.build_report(out_of_band)
         self.heartbeats_sent += 1
         response = self.jobtracker.heartbeat(report)
-        # Directives take one RPC hop to act on.
-        self.sim.schedule(
-            self.config.rpc_latency,
-            self._execute_actions,
-            response.actions,
-            label=f"tt.actions:{self.host}",
-        )
+        # Directives take one RPC hop to act on.  An empty response
+        # changes nothing on arrival, so it is not delivered at all.
+        if response.actions:
+            self.sim.schedule(
+                self.config.rpc_latency,
+                self._execute_actions,
+                response.actions,
+                label=f"tt.actions:{self.host}",
+            )
         self._arm_periodic_heartbeat()
 
     def _arm_periodic_heartbeat(self) -> None:

@@ -241,7 +241,7 @@ class Simulation:
                 self._last_batch = (time, key)
             handle._mark_fired()
             self._events_fired += 1
-            self.trace_log.record(self.now, handle.label)
+            self.trace_log.record_fired(time, handle.label)
             if self._profile:
                 label = handle.label
                 self._label_counts[label] = self._label_counts.get(label, 0) + 1

@@ -1,10 +1,15 @@
 """Simulation trace log.
 
-A :class:`TraceLog` collects ``(time, label, fields)`` records.  The
-engine records every fired event; model components append richer
-records (task launched, signal delivered, pages swapped, ...).  The
-experiment harness renders the Figure 1 style execution schedules from
-these records, and tests assert on them.
+A :class:`TraceLog` collects ``(time, label, fields)`` records of two
+kinds.  *Engine* records (:meth:`TraceLog.record_fired`) note every
+fired event -- the engine's bookkeeping.  *Domain* records
+(:meth:`TraceLog.record`, behind the components' ``trace(label,
+**fields)``) narrate the model: task launched, signal delivered, pages
+swapped, ...  :meth:`TraceLog.digest` pins both;
+:meth:`TraceLog.science_digest` pins the domain records alone, so an
+engine change that fires fewer no-op events keeps it.  The experiment
+harness renders the Figure 1 style execution schedules from these
+records, and tests assert on them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,8 @@ class TraceRecord:
     time: float
     label: str
     fields: Dict[str, Any] = field(default_factory=dict)
+    #: True for the engine's fired-event records
+    engine: bool = False
 
     def matches(self, label_prefix: str, **field_filters: Any) -> bool:
         """True when the label starts with ``label_prefix`` and every
@@ -43,8 +50,9 @@ class TraceLog:
     """Append-only list of :class:`TraceRecord` with query helpers.
 
     The log can be disabled (the default for large runs) in which case
-    :meth:`record` is a no-op; subscribers still fire, so live metric
-    collectors work even with the log off.
+    nothing is stored; subscribers still fire, so live metric
+    collectors work even with the log off.  With the log off and no
+    subscriber, recording builds no record at all.
     """
 
     def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
@@ -69,8 +77,17 @@ class TraceLog:
         self._records = deque(self._records, maxlen=capacity)
 
     def record(self, time: float, label: str, **fields: Any) -> None:
-        """Append a record (if enabled) and notify subscribers (always)."""
-        rec = TraceRecord(time, label, fields)
+        """Append a domain record (if enabled) and notify subscribers."""
+        if self.enabled or self._subscribers:
+            self._append(TraceRecord(time, label, fields))
+
+    def record_fired(self, time: float, label: str) -> None:
+        """Append the engine's record of one fired event (if enabled)
+        and notify subscribers."""
+        if self.enabled or self._subscribers:
+            self._append(TraceRecord(time, label, {}, True))
+
+    def _append(self, rec: TraceRecord) -> None:
         if self.enabled:
             self._records.append(rec)
         for subscriber in self._subscribers:
@@ -116,21 +133,16 @@ class TraceLog:
         digest equal iff their records are bit-identical -- the
         determinism tests compare whole runs through this one value.
         """
-        h = hashlib.sha256()
-        for rec in self._records:
-            # Separator bytes between every component: without them
-            # distinct records could concatenate to the same byte
-            # stream (e.g. time '1.0' + label '5x' vs '1.05' + 'x').
-            h.update(repr(rec.time).encode("utf-8"))
-            h.update(b"\x1f")
-            h.update(rec.label.encode("utf-8"))
-            for key in sorted(rec.fields):
-                h.update(b"\x1f")
-                h.update(key.encode("utf-8"))
-                h.update(b"\x1e")
-                h.update(repr(rec.fields[key]).encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        return _digest(self._records)
+
+    def science_digest(self) -> str:
+        """:meth:`digest` over the domain records alone.
+
+        Engine records say which events fired, not what the model did;
+        leaving them out lets two runs that differ only in no-op events
+        (whose callbacks change no state) digest equal.
+        """
+        return _digest(rec for rec in self._records if not rec.engine)
 
     def render(self, limit: Optional[int] = None) -> str:
         """Human-readable dump of the last ``limit`` records."""
@@ -139,3 +151,22 @@ class TraceLog:
         else:
             records = islice(self._records, len(self._records) - limit, None)
         return "\n".join(str(rec) for rec in records)
+
+
+def _digest(records: Iterable[TraceRecord]) -> str:
+    """SHA-256 over ``records`` (time, label, fields), in order."""
+    h = hashlib.sha256()
+    for rec in records:
+        # Separator bytes between every component: without them
+        # distinct records could concatenate to the same byte
+        # stream (e.g. time '1.0' + label '5x' vs '1.05' + 'x').
+        h.update(repr(rec.time).encode("utf-8"))
+        h.update(b"\x1f")
+        h.update(rec.label.encode("utf-8"))
+        for key in sorted(rec.fields):
+            h.update(b"\x1f")
+            h.update(key.encode("utf-8"))
+            h.update(b"\x1e")
+            h.update(repr(rec.fields[key]).encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()

@@ -145,6 +145,40 @@ class TestRunCells:
         assert os.path.exists(f"{path}.corrupt")  # original preserved
         assert os.path.exists(path)  # re-run result re-cached
 
+    def test_cache_from_another_source_tree_is_a_miss(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The cell key names a cell's inputs, not the code that ran
+        it: a result cached by another source tree is re-computed."""
+        import repro.checkpoint.core as checkpoint_core
+        import repro.experiments.runner as runner_mod
+
+        cells = self.cells(2)
+        cache = str(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_core, "schema_fingerprint",
+                          lambda: "oldtree")
+            for cell in cells:
+                runner_mod._cache_write(cache, cell, {"stale": True})
+        ran = []
+
+        def counting_execute(cell):
+            ran.append(cell)
+            return execute_cell(cell)
+
+        monkeypatch.setattr(runner_mod, "execute_cell", counting_execute)
+        assert run_cells(cells, workers=1, cache_dir=cache) == [
+            probe_cell(0), probe_cell(1)
+        ]
+        assert ran == cells
+        assert "written by another source tree" in capsys.readouterr().err
+        # Re-cached under this tree's fingerprint: the next run hits.
+        assert run_cells(cells, workers=1, cache_dir=cache) == [
+            probe_cell(0), probe_cell(1)
+        ]
+        assert ran == cells
+        assert capsys.readouterr().err == ""
+
     def test_keyboard_interrupt_flushes_manifest(self, tmp_path, capsys):
         """Ctrl-C mid-sweep: finished cells stay checkpointed and the
         manifest reflects them before the interrupt propagates."""

@@ -142,3 +142,118 @@ class TestCapacityResize:
         records_before = log._records
         log.capacity = 4
         assert log._records is records_before
+
+
+class TestUnobservedRecords:
+    """With the log off and nobody subscribed, recording is free: the
+    engine calls :meth:`TraceLog.record_fired` once per fired event."""
+
+    @staticmethod
+    def _peak_bytes(fn, calls=1000):
+        import tracemalloc
+
+        fn(1.0, "warm")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for _ in range(calls):
+                fn(1.0, "x")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_disabled_unsubscribed_log_builds_no_record(self, monkeypatch):
+        import repro.sim.trace as trace_module
+
+        built = []
+        monkeypatch.setattr(trace_module, "TraceRecord",
+                            lambda *args: built.append(args))
+        log = TraceLog(enabled=False)
+        log.record(1.0, "attempt.launch", attempt="a1")
+        log.record_fired(2.0, "tt.heartbeat:n0")
+        assert built == []
+        assert len(log) == 0
+
+    def test_disabled_unsubscribed_log_allocates_nothing(self):
+        log = TraceLog(enabled=False)
+        baseline = self._peak_bytes(lambda time, label: None)
+        # One TraceRecord with its fields dict is over 200 bytes.
+        assert self._peak_bytes(log.record_fired) <= baseline + 64
+        assert self._peak_bytes(log.record) <= baseline + 64
+
+    def test_subscriber_added_mid_run_sees_every_later_record(self):
+        from repro.sim.engine import Simulation
+
+        sim = Simulation(trace=False)
+        for i in range(4):
+            sim.schedule(float(i), lambda: None, label=f"e{i}")
+        sim.schedule(2.5, lambda: sim.trace_log.record(sim.now, "domain", k=1),
+                     label="emit")
+        sim.step()
+        sim.step()
+        seen = []
+        sim.trace_log.subscribe(seen.append)
+        sim.run()
+        assert [(r.time, r.label, r.engine) for r in seen] == [
+            (2.0, "e2", True),
+            (2.5, "emit", True),
+            (2.5, "domain", False),
+            (3.0, "e3", True),
+        ]
+        assert seen[2].fields == {"k": 1}
+        assert len(sim.trace_log) == 0
+
+
+class TestScienceDigest:
+    """:meth:`TraceLog.science_digest` hashes the domain records only;
+    :meth:`TraceLog.digest` hashes every record, exactly as before the
+    two kinds were told apart."""
+
+    @staticmethod
+    def _domain(log):
+        log.record(1.5, "attempt.launch", attempt="a1", host="n0")
+        log.record(1.5, "os.signal", sig="SIGTSTP", pid=7, ratio=0.1)
+        log.record(2.25, "net.xfer-done", bytes=1048576, name="m1->r0")
+
+    def test_digest_of_a_fixed_log_is_pinned(self):
+        log = TraceLog()
+        log.record_fired(0.0, "tt.heartbeat:n0")
+        self._domain(log)
+        assert log.digest() == (
+            "7331ccc1aa78a304cfbfd1a4aee58d9f2397fa2051900bd72780642cd72e04e2"
+        )
+
+    def test_engine_records_are_marked(self):
+        log = TraceLog()
+        log.record_fired(0.0, "tt.heartbeat:n0")
+        log.record(0.0, "attempt.launch")
+        assert [rec.engine for rec in log] == [True, False]
+
+    def test_ignores_engine_records(self):
+        interleaved = TraceLog()
+        interleaved.record_fired(0.0, "tt.heartbeat:n0")
+        self._domain(interleaved)
+        interleaved.record_fired(3.0, "tt.actions:n0")
+        domain_only = TraceLog()
+        self._domain(domain_only)
+        assert interleaved.science_digest() == domain_only.science_digest()
+        assert domain_only.science_digest() == domain_only.digest()
+        assert interleaved.digest() != domain_only.digest()
+
+    def test_includes_domain_records(self):
+        base, changed, longer = TraceLog(), TraceLog(), TraceLog()
+        self._domain(base)
+        self._domain(changed)
+        changed.record(4.0, "attempt.finished", attempt="a1")
+        self._domain(longer)
+        longer.record(4.0, "attempt.finished", attempt="a2")
+        digests = {log.science_digest() for log in (base, changed, longer)}
+        assert len(digests) == 3
+        assert TraceLog().science_digest() != base.science_digest()
+
+    def test_keeps_separators_between_record_parts(self):
+        # Without a separator both would hash the stream '1.05x'.
+        left, right = TraceLog(), TraceLog()
+        left.record(1.0, "5x")
+        right.record(1.05, "x")
+        assert left.science_digest() != right.science_digest()

@@ -5,8 +5,9 @@ Runs one small cell from each experiment family -- SWIM scale replay
 memory-admission (memscale) study, and the fig2 two-job harness --
 twice each: once with ``batch_heartbeats`` on and once off, with
 everything else (including ``heartbeat_phases``) held fixed.  Records
-both TraceLog digests, the event counts, and the metric sketches per
-cell, and exits non-zero if any pair differs.
+both TraceLog digests -- the engine digest over every record and the
+science digest over the domain records alone -- the event counts, and
+the metric sketches per cell, and exits non-zero if any pair differs.
 
 The point of the artifact is auditability: the batched dispatch path
 is only allowed to be a *performance* change, and this report is the
@@ -98,6 +99,7 @@ def _fig2_cell() -> dict:
         sim = result.trace_cluster.sim
         return {
             "trace_digest": sim.trace_log.digest(),
+            "science_digest": sim.trace_log.science_digest(),
             "events": float(sim.events_fired),
             "sketch": (
                 f"th={result.sojourn_th:.6f},mk={result.makespan:.6f},"
@@ -118,7 +120,7 @@ CELLS = {
 }
 
 #: the fields each pair must agree on, where present
-COMPARED = ("trace_digest", "events", "sketch")
+COMPARED = ("trace_digest", "science_digest", "events", "sketch")
 
 
 def build_report() -> dict:
