@@ -105,6 +105,7 @@ def layer_inventory(root: Any) -> Dict[str, Any]:
         if kernels:
             inventory["osmodel"] = {
                 "kernels": len(kernels),
+                # live processes only: the kernels reap the dead
                 "processes": sum(
                     len(k._processes) for k in kernels.values()
                 ),

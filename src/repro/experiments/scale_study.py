@@ -51,7 +51,7 @@ SCENARIOS: Dict[str, Dict[str, str]] = {
     "burst": {"mix": "facebook", "arrival": "bursty"},
     "diurnal": {"mix": "facebook", "arrival": "diurnal"},
     # Homogeneous long jobs: the whole workload stays live at once, the
-    # many-live-jobs regime the batched heartbeat dispatch amortizes
+    # many-live-jobs regime the standing job index serves
     # (bench_guard's 2000/5000-tracker cells replay this scenario).
     "steady": {"mix": "steady", "arrival": "poisson"},
 }
@@ -118,8 +118,8 @@ def _run_once(
     Cell param); ``profile`` turns on the engine's per-label
     attribution and adds its stats under ``"engine"``.
     ``heartbeat_phases`` locks tracker heartbeats onto that many shared
-    phase offsets and ``batch_heartbeats`` amortizes the JobTracker's
-    scheduling passes across each resulting same-instant batch; the
+    phase offsets and ``batch_heartbeats`` answers every heartbeat from
+    the JobTracker's standing job index instead of a rescan; the
     batched-vs-unbatched differential suites hold runs differing only
     in ``batch_heartbeats`` digest-identical.
     """

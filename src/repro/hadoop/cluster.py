@@ -141,8 +141,7 @@ class HadoopCluster:
             # Historically every tracker gets a distinct stagger (free
             # drift); with heartbeat_phases > 0 the staggers wrap onto P
             # shared phase offsets, so trackers of the same phase
-            # heartbeat at the exact same instants forever and their
-            # events coalesce into one engine batch.
+            # heartbeat at the exact same instants forever.
             slot = i % phases if phases > 0 else i
             tracker.start(stagger=0.05 + 0.11 * slot)
         self.jobtracker.start_expiry_monitor()

@@ -129,34 +129,38 @@ class HeartbeatResponse:
         return "; ".join(a.describe() for a in self.actions) or "<none>"
 
 
-class HeartbeatBatch:
-    """Shared scheduling context for one batch of same-instant heartbeats.
+class JobIndex:
+    """The JobTracker's standing index of live jobs (batched dispatch).
 
-    When ``HadoopConfig.batch_heartbeats`` is on, the JobTracker keeps
-    one of these per engine event batch (see
-    :attr:`repro.sim.engine.Simulation.batch_id`): the job snapshot, the
-    pending-aux job list, and the scheduler's sorted job order are
-    computed once for the first heartbeat of the batch and *repaired*
-    -- via the jobs' observer notes -- rather than rebuilt for every
-    subsequent same-instant heartbeat.  Validity is
-    ``(batch_id, jobs epoch)``: a new batch, a submitted job, or any
-    job completion/kill discards the context wholesale.
+    When ``HadoopConfig.batch_heartbeats`` is on, the JobTracker owns
+    one of these for the whole run.  It holds what every heartbeat
+    would otherwise rebuild from the live-job set: each live job's
+    submission position, the jobs with a pending setup/cleanup tip in
+    submission order, and -- maintained by the scheduler -- the SRPT
+    sort keys plus the key-ordered list of jobs with schedulable tips.
 
-    The per-heartbeat answers produced through a batch context are
-    *identical* to the historical rebuild-every-time path; the
-    differential/property suites in ``tests/test_batched_differential.py``
-    and ``tests/test_batch_properties.py`` hold the two byte-for-byte
-    equal.
+    Nothing is rebuilt.  :meth:`add` (submission) and :meth:`remove`
+    (completion, failure, kill) change the membership, the jobs'
+    observer notes mark whose hot state moved, and each walk repairs
+    just the marked jobs before reading.  Membership changes are
+    recorded as notes too, so no list changes under a walk in
+    progress.
+
+    The answers are identical to a from-scratch scan of
+    :meth:`repro.hadoop.jobtracker.JobTracker.running_jobs`:
+    ``tests/test_index_exactness.py`` checks that after every
+    heartbeat, and the differential/property suites in
+    ``tests/test_batched_differential.py`` and
+    ``tests/test_batch_properties.py`` hold whole runs byte-for-byte
+    equal to the unbatched path.
     """
 
     __slots__ = (
-        "batch_id",
-        "epoch",
-        "jobs",
         "job_pos",
+        "next_pos",
         "aux_pos",
         "aux_jobs",
-        "aux_ids",
+        "aux_at",
         "aux_dirty",
         "size_dirty",
         "sched_dirty",
@@ -166,27 +170,17 @@ class HeartbeatBatch:
         "cand_ids",
     )
 
-    def __init__(self, batch_id: int, epoch: int, jobs: List["JobInProgress"]):
-        self.batch_id = batch_id
-        self.epoch = epoch
-        #: running-jobs snapshot in submission order (the JobTracker's
-        #: iteration order); stable for the life of the context because
-        #: any membership change bumps the epoch
-        self.jobs = jobs
-        self.job_pos: Dict[str, int] = {
-            job.job_id: i for i, job in enumerate(jobs)
-        }
+    def __init__(self) -> None:
+        #: live job_id -> submission position (the JobTracker's
+        #: iteration order)
+        self.job_pos: Dict[str, int] = {}
+        self.next_pos = 0
         #: jobs with a pending setup/cleanup tip, as parallel lists
-        #: sorted by submission position (= historical scan order);
-        #: repaired by bisect on aux notes instead of re-scanned
+        #: sorted by submission position (= historical scan order), and
+        #: each listed job's position; repaired by bisect on aux notes
         self.aux_pos: List[int] = []
         self.aux_jobs: List["JobInProgress"] = []
-        self.aux_ids: Set[str] = set()
-        for i, job in enumerate(jobs):
-            if job.pending_aux_tip() is not None:
-                self.aux_pos.append(i)
-                self.aux_jobs.append(job)
-                self.aux_ids.add(job.job_id)
+        self.aux_at: Dict[str, int] = {}
         #: jobs whose pending-aux verdict may have moved since the last
         #: repair -- dicts keyed by job_id (NOT sets of jobs: set
         #: iteration order hashes object ids and is not deterministic)
@@ -195,18 +189,46 @@ class HeartbeatBatch:
         self.size_dirty: Dict[str, "JobInProgress"] = {}
         #: jobs whose has-schedulable-tips verdict may have moved
         self.sched_dirty: Dict[str, "JobInProgress"] = {}
-        #: scheduler-owned SRPT bookkeeping, filled lazily on the
-        #: scheduler's first walk of the batch: job_id -> sort key for
-        #: *every* job, plus the parallel sorted key/job lists (and id
-        #: set) of just the jobs with schedulable tips -- so each walk
-        #: visits candidates, not the whole live-job set
-        self.key_of: Optional[dict] = None
-        self.cand_keys: Optional[list] = None
-        self.cand_jobs: Optional[List["JobInProgress"]] = None
-        self.cand_ids: Optional[Set[str]] = None
+        #: scheduler-owned SRPT bookkeeping: job_id -> sort key for
+        #: every live job, plus the parallel sorted key/job lists (and
+        #: id set) of just the jobs with schedulable tips -- so each
+        #: walk visits candidates, not the whole live-job set
+        self.key_of: dict = {}
+        self.cand_keys: list = []
+        self.cand_jobs: List["JobInProgress"] = []
+        self.cand_ids: Set[str] = set()
+
+    def add(self, job: "JobInProgress") -> None:
+        """A job was submitted: index it after every earlier job."""
+        self.job_pos[job.job_id] = self.next_pos
+        self.next_pos += 1
+        self._note_all(job)
+
+    def remove(self, job: "JobInProgress") -> None:
+        """A job turned terminal: drop it at the next repair."""
+        if self.job_pos.pop(job.job_id, None) is not None:
+            self._note_all(job)
+
+    def _note_all(self, job: "JobInProgress") -> None:
+        self.size_dirty[job.job_id] = job
+        self.sched_dirty[job.job_id] = job
+        self.aux_dirty[job.job_id] = job
+
+    def add_candidate(self, key, job: "JobInProgress") -> None:
+        """Insert ``job`` into the candidate lists at ``key``."""
+        at = bisect.bisect_left(self.cand_keys, key)
+        self.cand_keys.insert(at, key)
+        self.cand_jobs.insert(at, job)
+        self.cand_ids.add(job.job_id)
+
+    def drop_candidate(self, key) -> None:
+        """Delete the candidate listed at ``key``."""
+        at = bisect.bisect_left(self.cand_keys, key)
+        del self.cand_keys[at]
+        self.cand_ids.discard(self.cand_jobs.pop(at).job_id)
 
     def note(self, job: "JobInProgress", kind: str) -> None:
-        """Observer hook: a job's hot state moved mid-batch."""
+        """Job observer hook: a job's hot state moved."""
         if kind == "size":
             self.size_dirty[job.job_id] = job
         elif kind == "sched":
@@ -220,18 +242,16 @@ class HeartbeatBatch:
             return
         for job_id, job in self.aux_dirty.items():
             pos = self.job_pos.get(job_id)
-            if pos is None:
-                continue  # defensive: unknown job cannot be listed
-            pending = job.pending_aux_tip() is not None
-            present = job_id in self.aux_ids
-            if pending and not present:
+            pending = pos is not None and job.pending_aux_tip() is not None
+            listed = self.aux_at.get(job_id)
+            if pending and listed is None:
                 at = bisect.bisect_left(self.aux_pos, pos)
                 self.aux_pos.insert(at, pos)
                 self.aux_jobs.insert(at, job)
-                self.aux_ids.add(job_id)
-            elif not pending and present:
-                at = bisect.bisect_left(self.aux_pos, pos)
+                self.aux_at[job_id] = pos
+            elif not pending and listed is not None:
+                at = bisect.bisect_left(self.aux_pos, listed)
                 del self.aux_pos[at]
                 del self.aux_jobs[at]
-                self.aux_ids.discard(job_id)
+                del self.aux_at[job_id]
         self.aux_dirty.clear()

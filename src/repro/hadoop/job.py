@@ -110,9 +110,10 @@ class JobInProgress:
             tip.adopt_hot(self.hot, hot_index)
         #: callback(job, kind) fired on hot-state changes -- kind
         #: ``"size"`` when a tip's progress moved (the SRPT sort key is
-        #: stale) and ``"aux"`` when the pending-setup/cleanup verdict
-        #: may have moved; the JobTracker's batched heartbeat context
-        #: uses it to repair its caches instead of rebuilding them
+        #: stale), ``"sched"`` when the has-schedulable-tips verdict may
+        #: have moved and ``"aux"`` when the pending-setup/cleanup
+        #: verdict may have moved; the JobTracker's standing job index
+        #: uses it to repair itself instead of rebuilding
         self.observer = None
         self.launch_time: Optional[float] = None
         self.finish_time: Optional[float] = None

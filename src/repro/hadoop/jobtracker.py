@@ -25,9 +25,9 @@ from repro.errors import (
 from repro.hadoop.config import HadoopConfig
 from repro.hadoop.heartbeat import (
     AttemptStatus,
-    HeartbeatBatch,
     HeartbeatReport,
     HeartbeatResponse,
+    JobIndex,
     KillTaskAction,
     LaunchTaskAction,
     ResumeTaskAction,
@@ -112,14 +112,11 @@ class JobTracker:
         self.speculator: Optional[SpeculativeExecutor] = None
         if config.speculative_execution:
             self.speculator = SpeculativeExecutor(self)
-        #: bumped whenever job *membership* can change (submission,
-        #: completion, failure, kill); a batched heartbeat context is
-        #: only valid while both the engine batch id and this epoch
-        #: match the values it was built under
-        self._jobs_epoch = 0
-        #: live batched-heartbeat context (config.batch_heartbeats);
-        #: None when batching is off or no batch is in flight
-        self._batch_ctx: Optional[HeartbeatBatch] = None
+        #: standing live-job index every heartbeat consults
+        #: (config.batch_heartbeats); None when batching is off
+        self._job_index: Optional[JobIndex] = (
+            JobIndex() if config.batch_heartbeats else None
+        )
         self._expiry_event = None
         scheduler.bind(self)
 
@@ -149,9 +146,9 @@ class JobTracker:
         )
         self.jobs[job_id] = job
         self._live_jobs[job_id] = job
-        self._jobs_epoch += 1
-        if self.config.batch_heartbeats:
-            job.observer = self._on_job_note
+        if self._job_index is not None:
+            self._job_index.add(job)
+            job.observer = self._job_index.note
         for tip in job.all_tips():
             self._tips[tip.tip_id] = tip
             tip.tracker_observer = self._on_tip_tracker_change
@@ -177,8 +174,9 @@ class JobTracker:
         job = self.job(job_id)
         job.kill(self.sim.now)
         # kill() does not route through _announce_completion, so the
-        # membership epoch must move here.
-        self._jobs_epoch += 1
+        # job leaves the index here.
+        if self._job_index is not None:
+            self._job_index.remove(job)
         for tip in job.all_tips():
             if tip.state.active and tip.state is not TipState.MUST_KILL:
                 try:
@@ -402,10 +400,7 @@ class JobTracker:
             if suspended > self.peak_suspended_bytes:
                 self.peak_suspended_bytes = suspended
         self._process_report(report)
-        # The batch context may only be fetched *after* the report is
-        # processed: attempts in the report can complete or fail jobs,
-        # and the historical path reads the job set after that point.
-        ctx = self._batch_context()
+        index = self._job_index
         actions: List[TrackerAction] = []
         free_map = report.free_map_slots
         free_reduce = report.free_reduce_slots
@@ -424,15 +419,15 @@ class JobTracker:
 
         # 2. Job setup/cleanup launches (Hadoop runs them outside the
         #    pluggable scheduler).
-        free_map = self._aux_launches(report, actions, free_map, ctx)
+        free_map = self._aux_launches(report, actions, free_map, index)
 
         # 3. Pluggable scheduler fills the remaining slots.  Guard
         #    against scheduler bugs: drop duplicates and tips that are
         #    no longer schedulable.
         seen = set()
-        if ctx is not None and getattr(self.scheduler, "supports_batch", False):
+        if index is not None and getattr(self.scheduler, "uses_job_index", False):
             assigned = self.scheduler.assign_tasks(
-                report.tracker, free_map, free_reduce, batch=ctx
+                report.tracker, free_map, free_reduce, index=index
             )
         else:
             assigned = self.scheduler.assign_tasks(
@@ -484,38 +479,6 @@ class JobTracker:
                 "jt.response", tracker=report.tracker, actions=response.describe()
             )
         return response
-
-    # -- batched heartbeat context ------------------------------------------------------------
-
-    def _batch_context(self) -> Optional[HeartbeatBatch]:
-        """The live :class:`HeartbeatBatch` for this engine batch, or
-        None when batching is off.
-
-        Built fresh for the first heartbeat of a batch (or after any
-        job-membership change) and reused -- with observer-driven
-        repairs -- for every further same-instant heartbeat.
-        """
-        if not self.config.batch_heartbeats:
-            return None
-        ctx = self._batch_ctx
-        if (
-            ctx is None
-            or ctx.batch_id != self.sim.batch_id
-            or ctx.epoch != self._jobs_epoch
-        ):
-            ctx = HeartbeatBatch(
-                self.sim.batch_id, self._jobs_epoch, self.running_jobs()
-            )
-            self._batch_ctx = ctx
-        return ctx
-
-    def _on_job_note(self, job: JobInProgress, kind: str) -> None:
-        """Job observer hook: forward hot-state notes to the live
-        batch context (stale contexts absorb them harmlessly -- they
-        can never be revalidated, batch ids only grow)."""
-        ctx = self._batch_ctx
-        if ctx is not None:
-            ctx.note(job, kind)
 
     # -- report processing --------------------------------------------------------------------
 
@@ -742,7 +705,8 @@ class JobTracker:
                 self._announce_completion(job)
 
     def _announce_completion(self, job: JobInProgress) -> None:
-        self._jobs_epoch += 1
+        if self._job_index is not None:
+            self._job_index.remove(job)
         self.trace("jt.job-done", job=job.job_id, name=job.spec.name)
         self.scheduler.job_completed(job)
         for callback in self._completion_callbacks:
@@ -820,21 +784,21 @@ class JobTracker:
         report: HeartbeatReport,
         actions: List[TrackerAction],
         free_map: int,
-        ctx: Optional[HeartbeatBatch] = None,
+        index: Optional[JobIndex] = None,
     ) -> int:
         """Launch job setup/cleanup tasks (highest priority)."""
         if free_map <= 0:
             # The loop below breaks before its first launch check; skip
             # the live-job scan (most heartbeats on a busy cluster).
             return free_map
-        if ctx is not None:
+        if index is not None:
             # Batched path: walk only the jobs with a pending aux tip,
-            # maintained in submission order across the batch.  The
+            # kept in submission order by the standing index.  The
             # live re-check per job mirrors the historical loop (a job
             # launched earlier in this very walk answers None and is
             # skipped, exactly as the full scan would skip it).
-            ctx.refresh_aux()
-            for job in list(ctx.aux_jobs):
+            index.refresh_aux()
+            for job in index.aux_jobs:
                 if free_map <= 0:
                     break
                 aux_tip = job.pending_aux_tip()

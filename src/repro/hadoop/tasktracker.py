@@ -46,11 +46,6 @@ from repro.workloads.jobspec import TaskKind, TaskSpec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.jobtracker import JobTracker
 
-#: all heartbeat events share one batch key, so same-instant heartbeats
-#: from phase-locked trackers coalesce into one engine batch
-HEARTBEAT_BATCH_KEY = "hb"
-
-
 class AttemptStateTable:
     """Array-of-struct attempt state for one TaskTracker incarnation.
 
@@ -199,7 +194,6 @@ class TaskTracker:
             stagger,
             self._heartbeat,
             label=f"tt.heartbeat:{self.host}",
-            batch_key=HEARTBEAT_BATCH_KEY,
         )
 
     def request_oob_heartbeat(self) -> None:
@@ -214,7 +208,6 @@ class TaskTracker:
             self._heartbeat,
             True,
             label=f"tt.oob-heartbeat:{self.host}",
-            batch_key=HEARTBEAT_BATCH_KEY,
         )
 
     def _heartbeat(self, out_of_band: bool = False) -> None:
@@ -249,7 +242,6 @@ class TaskTracker:
                 self.config.heartbeat_interval,
                 self._heartbeat,
                 label=f"tt.heartbeat:{self.host}",
-                batch_key=HEARTBEAT_BATCH_KEY,
             )
             return
         interval = self.config.heartbeat_interval
@@ -268,7 +260,6 @@ class TaskTracker:
             origin + interval * tick,
             self._heartbeat,
             label=f"tt.heartbeat:{self.host}",
-            batch_key=HEARTBEAT_BATCH_KEY,
         )
 
     def build_report(self, out_of_band: bool = False) -> HeartbeatReport:

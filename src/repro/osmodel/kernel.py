@@ -75,6 +75,7 @@ class NodeKernel:
             live_processes=self.live_processes,
             now=SimClock(sim),
         )
+        #: pid -> process, live processes only (:meth:`reap` deletes)
         self._processes: Dict[int, OSProcess] = {}
         self._next_pid = 1000
         self.signals_sent = 0
@@ -89,13 +90,17 @@ class NodeKernel:
     # -- process table -----------------------------------------------------
 
     def live_processes(self) -> List[OSProcess]:
-        """All processes that are not dead."""
-        return [proc for proc in self._processes.values() if proc.alive]
+        """All processes that are not dead, in pid order.
+
+        The table holds live processes only (:meth:`reap` removes the
+        dead), so this is a plain copy of its values.
+        """
+        return list(self._processes.values())
 
     def process(self, pid: int) -> OSProcess:
         """Look up a live process by pid."""
         proc = self._processes.get(pid)
-        if proc is None or not proc.alive:
+        if proc is None:
             raise NoSuchProcessError(f"no such process: pid {pid}")
         return proc
 
@@ -116,8 +121,10 @@ class NodeKernel:
         proc.deliver(sig)
 
     def reap(self, proc: OSProcess) -> None:
-        """Release a dead process's resources (called by the process)."""
+        """Release a dead process's resources and drop it from the
+        process table (called by the process)."""
         self.vmm.release_process(proc)
+        del self._processes[proc.pid]
         self.trace(
             "os.exit",
             pid=proc.pid,

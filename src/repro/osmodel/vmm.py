@@ -23,7 +23,7 @@ of evicting a suspended ``tl``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import OutOfMemoryError
 from repro.osmodel.config import NodeConfig
@@ -113,6 +113,13 @@ class VirtualMemoryManager:
         self.swap = SwapArea(capacity=config.swap_bytes)
         self.reclaim_events = 0
         self.oom_events = 0
+        #: the last snapshot :meth:`headroom` took on an idle node (no
+        #: live process), with the page-cache size and swap use it was
+        #: taken under (-1 matches no real size: no snapshot yet); every
+        #: other input is fixed at construction
+        self._idle_headroom: Optional[MemoryHeadroom] = None
+        self._idle_cache_size = -1
+        self._idle_swap_used = -1
 
     # -- accounting -----------------------------------------------------------
 
@@ -140,20 +147,33 @@ class VirtualMemoryManager:
         admission gate both need these totals, and a single walk over
         the (handful of) live processes replaces the per-attempt
         resident/swap sums the old swap-capacity check performed.
+
+        An idle node -- most of a large cluster's heartbeats -- gets
+        its previous snapshot back when the page-cache size and the
+        swap use are unchanged: with no live process those two are the
+        only inputs that can move, so the memo is exactly the value a
+        recompute would build.
         """
+        processes = self._live_processes()
+        cache_size = self.page_cache.size
+        swap_used = self.swap.used
+        if (
+            not processes
+            and cache_size == self._idle_cache_size
+            and swap_used == self._idle_swap_used
+        ):
+            return self._idle_headroom
         running = stopped = stopped_swapped = 0
         stopped_count = 0
-        for proc in self._live_processes():
+        for proc in processes:
             if proc.stopped:
                 stopped += proc.image.resident
                 stopped_swapped += proc.image.swapped
                 stopped_count += 1
             else:
                 running += proc.image.resident
-        free_ram = (
-            self.config.usable_ram_bytes - running - stopped - self.page_cache.size
-        )
-        return MemoryHeadroom(
+        free_ram = self.config.usable_ram_bytes - running - stopped - cache_size
+        snapshot = MemoryHeadroom(
             free_ram=free_ram,
             evictable_cache=self.page_cache.evictable,
             free_swap=self.swap.free,
@@ -162,6 +182,11 @@ class VirtualMemoryManager:
             stopped_swapped=stopped_swapped,
             stopped_count=stopped_count,
         )
+        if not processes:
+            self._idle_headroom = snapshot
+            self._idle_cache_size = cache_size
+            self._idle_swap_used = swap_used
+        return snapshot
 
     # -- page cache population --------------------------------------------------
 

@@ -20,11 +20,10 @@ nothing).
 
 from __future__ import annotations
 
-import bisect
 from typing import List, Optional
 
 from repro.errors import NotPreemptibleError
-from repro.hadoop.heartbeat import HeartbeatBatch
+from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.job import JobInProgress
 from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
@@ -34,10 +33,10 @@ from repro.schedulers.base import TaskScheduler
 class HfspScheduler(TaskScheduler):
     """Shortest-remaining-size-first with preemption."""
 
-    #: the JobTracker passes its :class:`HeartbeatBatch` context to
-    #: :meth:`assign_tasks` so the SRPT sort is amortized over every
-    #: same-instant heartbeat of the batch
-    supports_batch = True
+    #: the JobTracker passes its standing :class:`JobIndex` to
+    #: :meth:`assign_tasks`, which keeps the SRPT order in it across
+    #: heartbeats instead of re-sorting on every one
+    uses_job_index = True
 
     def __init__(
         self,
@@ -103,7 +102,7 @@ class HfspScheduler(TaskScheduler):
         tracker: str,
         free_map_slots: int,
         free_reduce_slots: int,
-        batch: Optional[HeartbeatBatch] = None,
+        index: Optional[JobIndex] = None,
     ) -> List[TaskInProgress]:
         suspended_here = self._suspended_on(tracker)
         if free_map_slots <= 0 and free_reduce_slots <= 0:
@@ -112,13 +111,13 @@ class HfspScheduler(TaskScheduler):
             # the SRPT sort entirely -- on a loaded cluster this is the
             # common case for every heartbeat.
             return []
-        if batch is not None:
-            # Batched path: one SRPT sort per batch, repaired from the
+        if index is not None:
+            # Batched path: the standing SRPT order, repaired from the
             # jobs' size/sched notes, so each walk visits only the jobs
             # with schedulable tips (merged with this tracker's
             # suspended jobs) instead of re-filtering and re-sorting
             # the whole live-job set per heartbeat.
-            candidates = self._batch_candidates(batch, suspended_here)
+            candidates = self._index_candidates(index, suspended_here)
         else:
             # Only jobs that can absorb this tracker's slots matter: a
             # job with neither schedulable tips nor suspended tips here
@@ -171,99 +170,74 @@ class HfspScheduler(TaskScheduler):
             assigned.extend(chosen)
         return assigned
 
-    def _batch_candidates(
-        self, batch: HeartbeatBatch, suspended_here: dict
+    def _index_candidates(
+        self, index: JobIndex, suspended_here: dict
     ) -> List[JobInProgress]:
-        """The batch's candidate walk order, built once then repaired.
+        """The index's candidate walk order, repaired from its notes.
 
-        The first walk of a batch keys every live job by
-        ``(remaining_size, submit_time, job_id)`` -- a strict total
-        order (job ids are unique) -- and stores the sorted key/job
-        lists of just the jobs with schedulable tips.  Later walks
-        reposition jobs whose size notes fired and add/remove jobs
-        whose sched notes fired, two bisects each, so N same-instant
-        heartbeats pay one sort plus O(changes log J) instead of N
-        filter-scans and N sorts.  The result matches the historical
-        filter-then-sort exactly: same job set (candidacy verdicts are
-        repaired from the same transitions the historical filter
-        reads), same strict key order.
+        Every live job is keyed by ``(remaining_size, submit_time,
+        job_id)`` -- a strict total order (job ids are unique) -- and
+        the index keeps the sorted key/job lists of just the jobs with
+        schedulable tips.  A walk first repairs what moved since the
+        last one, two bisects per change: jobs whose size notes fired
+        are re-keyed and repositioned (a job new to the index gets its
+        first key, a job gone from it loses key and candidacy), then
+        jobs whose sched notes fired enter or leave the candidates.
+        The result matches the historical filter-then-sort exactly:
+        same job set (candidacy verdicts are repaired from the same
+        transitions the historical filter reads), same strict key
+        order.
         """
-        if batch.key_of is None:
-            key_of = {}
-            pairs = []
-            for job in batch.jobs:
-                key = (self.remaining_size(job), job.submit_time, job.job_id)
-                key_of[job.job_id] = key
-                if job.schedulable_tips():
-                    pairs.append((key, job))
-            pairs.sort(key=lambda pair: pair[0])
-            batch.key_of = key_of
-            batch.cand_keys = [key for key, _ in pairs]
-            batch.cand_jobs = [job for _, job in pairs]
-            batch.cand_ids = {job.job_id for _, job in pairs}
-            # Keys and verdicts were just computed live; pending dirt
-            # is already reflected.
-            batch.size_dirty.clear()
-            batch.sched_dirty.clear()
-        else:
-            keys, jobs = batch.cand_keys, batch.cand_jobs
-            if batch.size_dirty:
-                for job_id, job in batch.size_dirty.items():
-                    old_key = batch.key_of.get(job_id)
-                    if old_key is None:
-                        continue  # defensive: job unknown to this batch
-                    new_key = (
-                        self.remaining_size(job), job.submit_time, job.job_id
-                    )
-                    if new_key == old_key:
-                        continue
-                    batch.key_of[job_id] = new_key
-                    if job_id in batch.cand_ids:
-                        at = bisect.bisect_left(keys, old_key)
-                        del keys[at]
-                        del jobs[at]
-                        at = bisect.bisect_left(keys, new_key)
-                        keys.insert(at, new_key)
-                        jobs.insert(at, job)
-                batch.size_dirty.clear()
-            if batch.sched_dirty:
-                for job_id, job in batch.sched_dirty.items():
-                    key = batch.key_of.get(job_id)
-                    if key is None:
-                        continue
-                    want = bool(job.schedulable_tips())
-                    have = job_id in batch.cand_ids
-                    if want and not have:
-                        at = bisect.bisect_left(keys, key)
-                        keys.insert(at, key)
-                        jobs.insert(at, job)
-                        batch.cand_ids.add(job_id)
-                    elif not want and have:
-                        at = bisect.bisect_left(keys, key)
-                        del keys[at]
-                        del jobs[at]
-                        batch.cand_ids.discard(job_id)
-                batch.sched_dirty.clear()
+        key_of, cand_ids = index.key_of, index.cand_ids
+        if index.size_dirty:
+            for job_id, job in index.size_dirty.items():
+                old_key = key_of.get(job_id)
+                if job_id not in index.job_pos:
+                    # Left the index (completed, failed or killed).
+                    if old_key is not None:
+                        del key_of[job_id]
+                        if job_id in cand_ids:
+                            index.drop_candidate(old_key)
+                    continue
+                new_key = (self.remaining_size(job), job.submit_time, job_id)
+                if new_key == old_key:
+                    continue
+                key_of[job_id] = new_key
+                if job_id in cand_ids:
+                    index.drop_candidate(old_key)
+                    index.add_candidate(new_key, job)
+            index.size_dirty.clear()
+        if index.sched_dirty:
+            for job_id, job in index.sched_dirty.items():
+                key = key_of.get(job_id)
+                if key is None:
+                    continue  # not in the index
+                want = bool(job.schedulable_tips())
+                if want and job_id not in cand_ids:
+                    index.add_candidate(key, job)
+                elif not want and job_id in cand_ids:
+                    index.drop_candidate(key)
+            index.sched_dirty.clear()
+        jobs = index.cand_jobs
         if not suspended_here:
-            return batch.cand_jobs
+            return jobs
         # This tracker's suspended jobs walk too, even with nothing
         # schedulable (their tips restore first); merge the few of them
         # not already candidates into the key order.
         extras = []
         for job_id, tips in suspended_here.items():
-            if job_id in batch.cand_ids:
+            if job_id in cand_ids:
                 continue
-            key = batch.key_of.get(job_id)
+            key = key_of.get(job_id)
             if key is None:
                 continue  # not a running job: the historical filter
                 # (running_jobs-based) excludes it too
             extras.append((key, tips[0].job))
         if not extras:
-            return batch.cand_jobs
+            return jobs
         extras.sort(key=lambda pair: pair[0])
         merged: List[JobInProgress] = []
-        keys = batch.cand_keys
-        jobs = batch.cand_jobs
+        keys = index.cand_keys
         i = j = 0
         while i < len(jobs) and j < len(extras):
             if keys[i] < extras[j][0]:

@@ -82,12 +82,6 @@ class Simulation:
         self._profile = profile
         self._label_counts: Dict[str, int] = {}
         self._label_wall: Dict[str, float] = {}
-        #: monotone batch counter: consecutive fired events sharing the
-        #: same instant *and* the same non-None ``batch_key`` share one
-        #: batch id; any other event opens a fresh batch.  Pure
-        #: observation -- event order, trace and RNG are untouched.
-        self._batch_seq = 0
-        self._last_batch: Optional[Tuple[float, Any]] = None
         #: bound once: attribute access on self would otherwise build a
         #: fresh bound-method object per scheduled event
         self._on_cancel_hook = self._note_cancelled
@@ -102,7 +96,6 @@ class Simulation:
         callback: Callable[..., Any],
         *args: Any,
         label: str = "",
-        batch_key: Any = None,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -114,8 +107,7 @@ class Simulation:
             raise SchedulingInPastError(
                 f"cannot schedule {delay:.6f}s in the past (now={self.now:.6f})"
             )
-        return self.schedule_at(self.now + delay, callback, *args, label=label,
-                                batch_key=batch_key)
+        return self.schedule_at(self.now + delay, callback, *args, label=label)
 
     def schedule_at(
         self,
@@ -123,22 +115,13 @@ class Simulation:
         callback: Callable[..., Any],
         *args: Any,
         label: str = "",
-        batch_key: Any = None,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
-
-        ``batch_key`` opts the event into same-instant coalescing: when
-        it fires back-to-back with other events carrying the same key at
-        the same virtual time, they all observe the same
-        :attr:`batch_id`.  Keys never change *when* or in what order
-        events fire -- they only let callbacks recognise siblings.
-        """
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SchedulingInPastError(
                 f"cannot schedule at t={time:.6f} (now={self.now:.6f})"
             )
-        handle = EventHandle(time, self._seq, callback, args, label=label,
-                             batch_key=batch_key)
+        handle = EventHandle(time, self._seq, callback, args, label=label)
         handle._on_cancel = self._on_cancel_hook
         self._seq += 1
         self._scheduled += 1
@@ -227,18 +210,6 @@ class Simulation:
                     f"popped at now={self.now}"
                 )
             self.now = time
-            # Batch accounting: a fired event extends the current batch
-            # only when it shares the previous event's instant and
-            # non-None key; everything else opens a new batch.  The
-            # check runs before the callback so the callback reads its
-            # own batch id from :attr:`batch_id`.
-            key = handle.batch_key
-            if key is None:
-                self._batch_seq += 1
-                self._last_batch = None
-            elif self._last_batch != (time, key):
-                self._batch_seq += 1
-                self._last_batch = (time, key)
             handle._mark_fired()
             self._events_fired += 1
             self.trace_log.record_fired(time, handle.label)
@@ -468,16 +439,6 @@ class Simulation:
     def compactions(self) -> int:
         """How many times the heap was rebuilt to shed dead entries."""
         return self._compactions
-
-    @property
-    def batch_id(self) -> int:
-        """Id of the batch the most recently fired event belongs to.
-
-        Monotone; bumps on every fired event except when the event
-        extends a run of same-instant, same-``batch_key`` siblings.
-        Model code caches per-batch work keyed on this id.
-        """
-        return self._batch_seq
 
     @property
     def events_fired(self) -> int:

@@ -36,7 +36,7 @@ class EventHandle:
     """
 
     __slots__ = ("time", "seq", "callback", "args", "label", "state",
-                 "batch_key", "_on_cancel", "_entry")
+                 "_on_cancel", "_entry")
 
     def __init__(
         self,
@@ -45,16 +45,12 @@ class EventHandle:
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
         label: str = "",
-        batch_key: Any = None,
     ):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.label = label or getattr(callback, "__name__", "event")
-        #: events fired back-to-back at the same instant with the same
-        #: (non-None) key share one engine batch id; None never coalesces
-        self.batch_key = batch_key
         self.state = EventState.PENDING
         #: engine bookkeeping hook; lets the owning Simulation keep its
         #: dead-entry counter exact without scanning the heap

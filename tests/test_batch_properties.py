@@ -3,11 +3,9 @@
 Three layers of invariants, each randomized over its whole input
 space rather than pinned to a handful of seeds:
 
-* **engine batch-id fold** -- for any script of (time, batch_key)
-  schedules, events fire in timestamp order with FIFO order *within*
-  a timestamp pinned to insertion order, and batch ids partition the
-  fired sequence into exactly the maximal runs of consecutive
-  same-instant same-key events (``None`` keys never coalesce);
+* **engine FIFO** -- for any script of schedule times, events fire
+  in timestamp order with FIFO order *within* a timestamp pinned to
+  insertion order;
 * **structure-of-arrays coherence** -- stop a live replay cell at an
   arbitrary mid-flight instant: every TIP's object view (state,
   tracker binding, full seconds) must agree with its slot in the
@@ -18,9 +16,9 @@ space rather than pinned to a handful of seeds:
   with the live attempt objects and its own population counts;
 * **dispatch fold** -- for any small workload (seed, scenario,
   primitive, phase count), the batched and unbatched runs produce
-  identical TraceLog digests: same-instant heartbeats folded through
-  one repaired batch context answer exactly like heartbeats handled
-  one rebuild at a time, in the same FIFO order.
+  identical TraceLog digests: heartbeats answered from the standing
+  job index, repaired from job notes, answer exactly like heartbeats
+  handled one rebuild at a time.
 """
 
 import pytest
@@ -40,52 +38,15 @@ from repro.hadoop.states import (
 from repro.hadoop.tasktracker import AttemptStateTable
 from repro.sim.engine import Simulation
 
-# -- engine batch-id fold -----------------------------------------------------
+# -- engine FIFO ----------------------------------------------------------------
 
-#: (time, batch_key) schedule scripts; a few distinct times and keys
-#: are enough to produce every adjacency pattern that matters
+#: schedule-time scripts; a few distinct times are enough to produce
+#: every same-instant adjacency pattern that matters
 SCRIPT = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=3),
-        st.sampled_from([None, "hb", "other"]),
-    ),
+    st.integers(min_value=0, max_value=3),
     min_size=1,
     max_size=24,
 )
-
-
-@given(script=SCRIPT)
-def test_engine_batch_ids_partition_same_instant_key_runs(script):
-    sim = Simulation()
-    fired = []
-    for insertion, (time, key) in enumerate(script):
-        sim.schedule_at(
-            float(time),
-            (lambda t=time, k=key, i=insertion:
-             fired.append((t, k, i, sim.batch_id))),
-            label="script",
-            batch_key=key,
-        )
-    sim.run()
-
-    assert len(fired) == len(script)
-    # Timestamp order, FIFO within a timestamp: the fired sequence is
-    # the script stably sorted by time alone.
-    assert [(t, k, i) for t, k, i, _ in fired] == sorted(
-        [(float(t), k, i) for i, (t, k) in enumerate(script)],
-        key=lambda item: item[0],
-    )
-    # Batch ids partition the sequence into maximal runs of adjacent
-    # same-instant same-non-None-key events; everything else (key
-    # change, time change, None key) starts a fresh batch.
-    for prev, cur in zip(fired, fired[1:]):
-        prev_t, prev_k, _, prev_b = prev
-        cur_t, cur_k, _, cur_b = cur
-        coalesce = cur_t == prev_t and cur_k == prev_k and cur_k is not None
-        if coalesce:
-            assert cur_b == prev_b, f"run broken: {prev} -> {cur}"
-        else:
-            assert cur_b != prev_b, f"spurious coalesce: {prev} -> {cur}"
 
 
 @given(script=SCRIPT, data=st.data())
@@ -98,12 +59,10 @@ def test_engine_fifo_within_timestamp_follows_insertion_order(script, data):
         sim = Simulation()
         fired = []
         for insertion in indices:
-            time, key = script[insertion]
             sim.schedule_at(
-                float(time),
+                float(script[insertion]),
                 lambda i=insertion: fired.append(i),
                 label="script",
-                batch_key=key,
             )
         sim.run()
         return fired
@@ -114,7 +73,7 @@ def test_engine_fifo_within_timestamp_follows_insertion_order(script, data):
     # order -- so the permuted run's per-timestamp order is exactly
     # the permutation's order restricted to that timestamp.
     by_time = {}
-    for insertion, (time, _) in enumerate(script):
+    for insertion, time in enumerate(script):
         by_time.setdefault(time, set()).add(insertion)
     for members in by_time.values():
         assert [i for i in base if i in members] == sorted(members)

@@ -12,16 +12,16 @@ workloads from every experiment family at both paths and compare
 
 Why the invariant holds:
 
-* **batch contexts are repairs, not approximations** -- the
-  JobTracker's :class:`~repro.hadoop.heartbeat.HeartbeatBatch` caches
-  the job snapshot, the pending-aux list and the scheduler's sorted
-  candidate order across one engine event batch, and every cached
-  structure is repaired through observer notes to exactly the state a
-  from-scratch rebuild would compute (same floats, same tie-breaks,
-  same iteration order);
-* **batch ids never reorder events** -- the engine assigns batch ids
-  passively to already-adjacent same-instant events; the event queue,
-  the RNG draws and the trace stream are untouched;
+* **the index is repaired, not approximated** -- the JobTracker's
+  standing :class:`~repro.hadoop.heartbeat.JobIndex` keeps the live
+  jobs, the pending-aux list and the scheduler's sorted candidate
+  order for the whole run, and every structure is repaired through
+  membership and observer notes to exactly the state a from-scratch
+  rebuild would compute (same floats, same tie-breaks, same iteration
+  order; ``tests/test_index_exactness.py`` checks it per heartbeat);
+* **the index reads, never schedules** -- it adds no event and
+  draws no random number; the event queue, the RNG draws and the
+  trace stream are untouched;
 * **the phase grid is mode-independent** -- ``heartbeat_phases`` is
   applied identically in both runs, so the only difference between
   the legs is whether the JobTracker amortizes its per-heartbeat

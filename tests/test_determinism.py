@@ -155,8 +155,8 @@ class TestScale2000GoldenTrace:
     mix, phase-locked heartbeats, batching on) obeys the same golden-
     trace contract as every small cell: repeatable digests, byte-
     identical sharding over 4 workers, and checkpoint/resume replay
-    identity -- at the scale where the batch contexts actually carry
-    thousand-heartbeat folds."""
+    identity -- at the scale where the standing job index answers
+    thousands of heartbeats between membership changes."""
 
     @staticmethod
     def _cell_kwargs(seed_salt):

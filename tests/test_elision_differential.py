@@ -18,9 +18,7 @@ its empty deliveries are the new run's fired events, record for record.
 
 Why it holds: an empty delivery's callback iterates an empty list, so
 it changes no state; and the engine fires in ``(time, seq)`` order,
-where removing events never swaps two others.  The heartbeat batch ids
-do shift (an elided event no longer splits a same-instant batch), and
-the batched == unbatched suite already pins batch ids as invisible.
+where removing events never swaps two others.
 """
 
 import pytest

@@ -1,0 +1,236 @@
+"""Exactness of the per-heartbeat caches, checked while runs execute.
+
+Two caches answer every heartbeat in place of a fresh scan:
+
+* the idle-node headroom memo -- :meth:`VirtualMemoryManager.headroom`
+  hands a node with no live process its previous snapshot while the
+  page-cache size and the swap use stand still;
+* the JobTracker's standing :class:`~repro.hadoop.heartbeat.JobIndex`
+  -- live-job membership, the pending-aux list, and HFSP's SRPT
+  candidate order, all repaired from job notes instead of rebuilt.
+
+Each run below wraps ``VirtualMemoryManager.headroom`` and
+``JobTracker.heartbeat``.  Every snapshot served must ``==`` a
+full-scan recompute, and after every heartbeat the index -- repaired
+to the present -- must ``==`` a from-scratch build over
+``running_jobs()``.  Repairing between heartbeats moves no result:
+repairs read only cached, pure job views, so the runs still do the
+science they would do unobserved.
+
+Every experiment family of ``tests/test_elision_differential.py`` is
+covered, with the standing index forced on where the study leaves
+``batch_heartbeats`` off, plus a scale cell that kills jobs mid-run.
+"""
+
+import pytest
+
+from repro.experiments.faults_study import _run_once as faults_run_once
+from repro.experiments.memscale_study import _run_once as memscale_run_once
+from repro.experiments.runner import derive_seed
+from repro.experiments.scale_study import _build_run
+from repro.experiments.scale_study import _run_once as scale_run_once
+from repro.experiments.shuffle_study import _run_once as shuffle_run_once
+from repro.hadoop.jobtracker import JobTracker
+from repro.osmodel.config import NodeConfig
+from repro.osmodel.kernel import NodeKernel
+from repro.osmodel.vmm import MemoryHeadroom, VirtualMemoryManager
+from repro.sim.engine import Simulation
+from repro.units import GB, MB
+
+
+def full_scan_headroom(vmm):
+    """The snapshot by definition: one pass over the live processes."""
+    processes = vmm._live_processes()
+    assert all(proc.alive for proc in processes)
+    stopped = [proc for proc in processes if proc.stopped]
+    running = [proc for proc in processes if not proc.stopped]
+    running_resident = sum(proc.image.resident for proc in running)
+    stopped_resident = sum(proc.image.resident for proc in stopped)
+    return MemoryHeadroom(
+        free_ram=(
+            vmm.config.usable_ram_bytes
+            - running_resident
+            - stopped_resident
+            - vmm.page_cache.size
+        ),
+        evictable_cache=vmm.page_cache.evictable,
+        free_swap=vmm.swap.free,
+        running_resident=running_resident,
+        stopped_resident=stopped_resident,
+        stopped_swapped=sum(proc.image.swapped for proc in stopped),
+        stopped_count=len(stopped),
+    )
+
+
+def srpt_key(job):
+    return (job.remaining_work_seconds(), job.submit_time, job.job_id)
+
+
+def assert_index_exact(jobtracker):
+    """The standing index, repaired now, equals a from-scratch build."""
+    index = jobtracker._job_index
+    running = jobtracker.running_jobs()
+    ids = [job.job_id for job in running]
+    assert list(index.job_pos) == ids
+    index.refresh_aux()
+    assert index.aux_jobs == [
+        job for job in running if job.pending_aux_tip() is not None
+    ]
+    scheduler = jobtracker.scheduler
+    if getattr(scheduler, "uses_job_index", False):
+        walked = scheduler._index_candidates(index, {})
+        expected = sorted(
+            (job for job in running if job.schedulable_tips()), key=srpt_key
+        )
+        assert [job.job_id for job in walked] == [
+            job.job_id for job in expected
+        ]
+        assert index.cand_keys == [srpt_key(job) for job in expected]
+        assert sorted(index.key_of) == sorted(ids)
+
+
+class Checks:
+    """Counts of the checks a run made (so a cell cannot pass vacuously)."""
+
+    headroom = 0
+    idle_headroom = 0
+    heartbeats = 0
+
+
+def checked_run(monkeypatch, fn):
+    checks = Checks()
+    headroom = VirtualMemoryManager.headroom
+    heartbeat = JobTracker.heartbeat
+    init = JobTracker.__init__
+
+    def checked_headroom(self):
+        served = headroom(self)
+        assert served == full_scan_headroom(self)
+        checks.headroom += 1
+        if not self._live_processes():
+            checks.idle_headroom += 1
+        return served
+
+    def checked_heartbeat(self, report):
+        response = heartbeat(self, report)
+        assert_index_exact(self)
+        checks.heartbeats += 1
+        return response
+
+    def indexed_init(self, sim, config, scheduler):
+        init(self, sim, config.replace(batch_heartbeats=True), scheduler)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VirtualMemoryManager, "headroom", checked_headroom)
+        patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
+        patch.setattr(JobTracker, "__init__", indexed_init)
+        fn()
+    assert checks.heartbeats > 0
+    assert checks.headroom >= checks.heartbeats
+    assert checks.idle_headroom > 0
+    return checks
+
+
+@pytest.mark.parametrize("scenario", ["steady", "shuffle-heavy", "baseline"])
+def test_scale_cell(monkeypatch, scenario):
+    seed = derive_seed(9000, "scale", scenario, 15, "suspend", 0)
+    checked_run(monkeypatch, lambda: scale_run_once(
+        scenario=scenario, primitive_name="suspend", trackers=15,
+        num_jobs=10, seed=seed, heartbeat_phases=4, batch_heartbeats=True,
+    ))
+
+
+def test_scale_cell_drifting_heartbeats(monkeypatch):
+    seed = derive_seed(9000, "scale", "baseline", 15, "kill", 0)
+    checked_run(monkeypatch, lambda: scale_run_once(
+        scenario="baseline", primitive_name="kill", trackers=15,
+        num_jobs=10, seed=seed,
+    ))
+
+
+def test_scale_cell_with_killed_jobs(monkeypatch):
+    """Jobs killed mid-run leave the index through ``kill_job``: one
+    still waiting for slots and one already running."""
+
+    def run():
+        seed = derive_seed(9000, "scale", "steady", 8, "suspend", 0)
+        cluster, _ = _build_run(
+            "steady", "suspend", 8, 10, seed,
+            heartbeat_phases=4, batch_heartbeats=True,
+        )
+        jobtracker = cluster.jobtracker
+        cluster.start()
+        cluster.sim.run(until=60.0)
+        live = jobtracker.running_jobs()
+        assert len(live) >= 2
+        waiting = [job for job in live if job.schedulable_tips()]
+        victims = [live[0], waiting[-1] if waiting else live[-1]]
+        for job in victims:
+            jobtracker.kill_job(job.job_id)
+        cluster.sim.run(until=900.0)
+        assert all(job.job_id not in jobtracker._job_index.job_pos
+                   for job in victims)
+
+    checked_run(monkeypatch, run)
+
+
+def test_shuffle_cell(monkeypatch):
+    seed = derive_seed(11000, "shuffle", 15, "kill", 2.5, 0.0, 0)
+    checked_run(monkeypatch, lambda: shuffle_run_once(
+        primitive_name="kill", trackers=15, num_jobs=8,
+        oversubscription=2.5, seed=seed, heartbeat_phases=4,
+    ))
+
+
+@pytest.mark.parametrize(
+    "mode", ["kill", "wait", "suspend-gated", "suspend-ungated"]
+)
+def test_memscale_cell(monkeypatch, mode):
+    from repro.experiments.memscale_study import RESERVE_BYTES, SWAP_BYTES
+
+    seed = derive_seed(
+        12000, "memscale", 15, mode, SWAP_BYTES, RESERVE_BYTES, 0
+    )
+    checked_run(monkeypatch, lambda: memscale_run_once(
+        mode=mode, trackers=15, num_jobs=8, seed=seed, heartbeat_phases=4,
+    ))
+
+
+@pytest.mark.parametrize("primitive", ["suspend", "kill"])
+def test_fig2_cell(monkeypatch, primitive):
+    from repro.experiments.harness import TwoJobHarness
+
+    harness = TwoJobHarness(primitive, 0.5, runs=1)
+    checked_run(monkeypatch, lambda: harness.run_once(seed=99))
+
+
+def test_faults_cell(monkeypatch):
+    checked_run(monkeypatch, lambda: faults_run_once(
+        scenario="node-crash", primitive_name="suspend", seed=7000,
+    ))
+
+
+def test_idle_memo_tracks_every_mutable_input():
+    """With no live process the memo key must cover each input that can
+    still move.  In a run an idle node's swap use is always zero (swap
+    is released at reap), so only a direct poke reaches that input."""
+    kernel = NodeKernel(
+        Simulation(seed=1),
+        NodeConfig(ram_bytes=1 * GB, os_reserved_bytes=128 * MB,
+                   swap_bytes=256 * MB, hostname="idle"),
+    )
+    vmm = kernel.vmm
+    first = kernel.memory_headroom()
+    assert kernel.memory_headroom() is first
+    vmm.cache_file_read(64 * MB)
+    assert kernel.memory_headroom() == full_scan_headroom(vmm) != first
+    vmm.swap.page_out(4242, 8 * MB)
+    assert kernel.memory_headroom() == full_scan_headroom(vmm)
+    vmm.swap.release(4242)
+    assert kernel.memory_headroom() == full_scan_headroom(vmm)
+    # A live process disables the memo; its death re-enables it.
+    proc = kernel.spawn("p")
+    kernel.charge_allocation(proc, 32 * MB)
+    assert kernel.memory_headroom() == full_scan_headroom(vmm)
+    proc.die_oom()
+    assert kernel.memory_headroom() == full_scan_headroom(vmm)

@@ -48,6 +48,21 @@ class TestProcessTable:
         kernel.signal(a.pid, Signal.SIGSTOP)
         assert kernel.stopped_processes() == [a]
 
+    def test_reaped_process_leaves_table(self, kernel):
+        a = kernel.spawn("a")
+        b = kernel.spawn("b")
+        kernel.signal(a.pid, Signal.SIGKILL)
+        assert a.pid not in kernel._processes
+        assert list(kernel._processes.values()) == [b]
+
+    def test_lookup_reaped_process_raises(self, kernel):
+        proc = kernel.spawn("p")
+        kernel.signal(proc.pid, Signal.SIGKILL)
+        with pytest.raises(NoSuchProcessError):
+            kernel.process(proc.pid)
+        with pytest.raises(NoSuchProcessError):
+            kernel.signal(proc.pid, Signal.SIGCONT)
+
 
 class TestAllocationCharge:
     def test_touch_time_linear_in_bytes(self, kernel):
@@ -107,6 +122,21 @@ class TestInvariants:
         kernel.signal(procs[0].pid, Signal.SIGSTOP)
         kernel.charge_allocation(procs[1], 200 * MB)
         kernel.signal(procs[2].pid, Signal.SIGKILL)
+        kernel.check_invariants()
+
+    def test_check_invariants_with_stopped_processes_in_swap(self, kernel):
+        stopped = [kernel.spawn(f"s{i}") for i in range(2)]
+        for proc in stopped:
+            kernel.charge_allocation(proc, 300 * MB)
+            kernel.signal(proc.pid, Signal.SIGSTOP)
+        doomed = kernel.spawn("doomed")
+        kernel.charge_allocation(doomed, 100 * MB)
+        kernel.signal(doomed.pid, Signal.SIGKILL)
+        hungry = kernel.spawn("hungry")
+        kernel.charge_allocation(hungry, 500 * MB)
+        assert stopped[0].image.swapped > 0
+        assert kernel.vmm.swap.used == sum(p.image.swapped for p in stopped)
+        assert list(kernel._processes.values()) == stopped + [hungry]
         kernel.check_invariants()
 
     def test_node_config_validation(self):

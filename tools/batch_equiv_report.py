@@ -10,9 +10,10 @@ science digest over the domain records alone -- the event counts, and
 the metric sketches per cell, and exits non-zero if any pair differs.
 
 The point of the artifact is auditability: the batched dispatch path
-is only allowed to be a *performance* change, and this report is the
-per-commit receipt that the two paths produced byte-identical traces
-on every experiment family.  The exhaustive evidence lives in the
+(one standing job index repaired from job notes, instead of a rescan
+of the live jobs per heartbeat) is only allowed to be a *performance*
+change, and this report is the per-commit receipt that the two paths
+produced byte-identical traces on every experiment family.  The exhaustive evidence lives in the
 test suite (``tests/test_batched_differential.py``); this report is
 the cheap always-on slice CI uploads next to ``BENCH_PR3.json``.
 
@@ -30,9 +31,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-#: every cell runs both modes on the same phase grid; 4 phases gives
-#: 500-way heartbeat coalescing at scale and still exercises the
-#: batch-context repair machinery at these small sizes
+#: every cell runs both modes on the same phase grid (the grid sets
+#: heartbeat instants, so it is an input both legs must share); the
+#: batched leg answers every heartbeat from the JobTracker's standing
+#: job index, repaired from job notes
 PHASES = 4
 
 

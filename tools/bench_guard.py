@@ -202,7 +202,9 @@ def bench_checkpoint_smoke(scale: float = 1.0) -> dict:
 
 def bench_scale_2000(scale: float = 1.0) -> dict:
     """The batched-dispatch tentpole cell: 2000 trackers on the
-    steady mix, run twice -- batched heartbeats on, then off -- with
+    steady mix, run twice -- batched heartbeats on (every heartbeat
+    answered from the JobTracker's standing job index), then off (a
+    rescan of the live jobs per heartbeat) -- with
     *assertions* that the two runs' metric sketches are byte-identical
     and (at full scale) that the batched run is at least
     ``MIN_BATCH_SPEEDUP`` times faster.  An equivalence break or a
