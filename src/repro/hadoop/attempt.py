@@ -60,15 +60,6 @@ class TaskAttempt:
         self.role = role
         self.gc_policy = gc_policy
         self.state = AttemptState.STARTING
-        #: per-tracker array-of-struct attempt state table (None when
-        #: the tracker predates it, e.g. bare test doubles); keeping
-        #: the reference here means an attempt stranded by a tracker
-        #: restart keeps mutating its *old* incarnation's table and can
-        #: never corrupt the fresh one's counts
-        self._table = getattr(tracker, "attempt_table", None)
-        self._table_index = -1
-        if self._table is not None:
-            self._table_index = self._table.register(attempt_id, self.state)
         self.jvm: Optional[ChildJVM] = None
         self.counters = Counters()
         self.launched_at: Optional[float] = None
@@ -104,17 +95,6 @@ class TaskAttempt:
         """Child JVM process (None before launch)."""
         return self.jvm.process if self.jvm else None
 
-    def _set_state(self, new: AttemptState) -> None:
-        """Every attempt state change funnels through here so the
-        tracker's state table (per-state population counts read once
-        per heartbeat) stays exact."""
-        old = self.state
-        if new is old:
-            return
-        self.state = new
-        if self._table is not None:
-            self._table.transition(self._table_index, old, new)
-
     # -- lifecycle -----------------------------------------------------------------
 
     def launch(self) -> None:
@@ -139,7 +119,7 @@ class TaskAttempt:
         proc.on_stop(self._on_proc_stop)
         proc.on_resume(self._on_proc_resume)
         self.launched_at = self.sim.now
-        self._set_state(AttemptState.RUNNING)
+        self.state = AttemptState.RUNNING
         self.jvm.start()
         self.tracker.trace("attempt.launch", attempt=self.attempt_id)
 
@@ -160,7 +140,7 @@ class TaskAttempt:
         :meth:`_on_proc_stop` confirms it."""
         if self.state not in (AttemptState.RUNNING, AttemptState.STARTING):
             return  # completed or already suspended in the meanwhile
-        self._set_state(AttemptState.SUSPENDING)
+        self.state = AttemptState.SUSPENDING
         self.kernel.signal(self.pid, Signal.SIGTSTP)
 
     def resume(self) -> None:
@@ -186,7 +166,7 @@ class TaskAttempt:
             # tests); account it the same way.
             if self.state.terminal:
                 return
-        self._set_state(AttemptState.SUSPENDED)
+        self.state = AttemptState.SUSPENDED
         self.suspend_count += 1
         self.counters.increment("task", "suspensions")
         self.tracker.attempt_suspended(self)
@@ -194,7 +174,7 @@ class TaskAttempt:
     def _on_proc_resume(self, proc: OSProcess) -> None:
         if self.state is not AttemptState.SUSPENDED:
             return
-        self._set_state(AttemptState.RUNNING)
+        self.state = AttemptState.RUNNING
         self.resume_count += 1
         self.counters.increment("task", "resumes")
         self.tracker.attempt_resumed(self)
@@ -203,11 +183,11 @@ class TaskAttempt:
         self._final_progress = 0.0 if self.jvm is None else self.jvm.progress()
         self.finished_at = self.sim.now
         if reason is ExitReason.EXITED:
-            self._set_state(AttemptState.SUCCEEDED)
+            self.state = AttemptState.SUCCEEDED
         elif reason is ExitReason.KILLED:
-            self._set_state(AttemptState.KILLED)
+            self.state = AttemptState.KILLED
         else:
-            self._set_state(AttemptState.FAILED)
+            self.state = AttemptState.FAILED
         self._finalize_counters()
         self.tracker.attempt_finished(self)
 

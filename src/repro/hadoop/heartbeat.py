@@ -48,7 +48,6 @@ class HeartbeatReport:
     free_map_slots: int
     free_reduce_slots: int
     attempts: List[AttemptStatus] = field(default_factory=list)
-    suspended_count: int = 0
     out_of_band: bool = False
     #: per-node memory/swap headroom snapshot (Section III-A's
     #: operands), taken once per heartbeat by the TaskTracker

@@ -389,16 +389,7 @@ class JobTracker:
 
     def heartbeat(self, report: HeartbeatReport) -> HeartbeatResponse:
         """Process a TaskTracker report and reply with directives."""
-        self.heartbeats_received += 1
-        self.last_heartbeat[report.tracker] = self.sim.now
-        if report.headroom is not None:
-            self.tracker_headroom[report.tracker] = report.headroom
-            suspended = (
-                report.headroom.stopped_resident
-                + report.headroom.stopped_swapped
-            )
-            if suspended > self.peak_suspended_bytes:
-                self.peak_suspended_bytes = suspended
+        self._note_heartbeat(report.tracker, report.headroom)
         self._process_report(report)
         index = self._job_index
         actions: List[TrackerAction] = []
@@ -479,6 +470,48 @@ class JobTracker:
                 "jt.response", tracker=report.tracker, actions=response.describe()
             )
         return response
+
+    def answer_idle(self, tracker) -> bool:
+        """Answer an idle tracker's heartbeat without a report or a walk.
+
+        The TaskTracker asks only when it has nothing to report.  True
+        means the full :meth:`heartbeat` walk would return no action
+        and leave nothing a later walk would not redo the same way, so
+        only its bookkeeping is done here; False means the caller must
+        build a report and walk.  The walk is provably empty when, with
+        the standing index on:
+
+        * no job has a pending (or possibly pending) setup/cleanup tip;
+        * no speculator could book a backup into a free slot;
+        * no tip is bound to the host, so no directive can be due;
+        * the scheduler reports it has nothing it could offer.
+
+        Only reads state: nothing is repaired, so a later walk repairs
+        the same notes to the same result.
+        """
+        index = self._job_index
+        if (
+            index is None
+            or index.aux_dirty
+            or index.aux_jobs
+            or self.speculator is not None
+            or self._tips_by_tracker.get(tracker.host)
+            or self.scheduler.may_offer(index)
+        ):
+            return False
+        self._note_heartbeat(tracker.host, tracker.kernel.memory_headroom())
+        return True
+
+    def _note_heartbeat(self, host: str, headroom) -> None:
+        """Every heartbeat's bookkeeping: liveness (the expiry input)
+        and the node's memory/swap headroom snapshot."""
+        self.heartbeats_received += 1
+        self.last_heartbeat[host] = self.sim.now
+        if headroom is not None:
+            self.tracker_headroom[host] = headroom
+            suspended = headroom.stopped_resident + headroom.stopped_swapped
+            if suspended > self.peak_suspended_bytes:
+                self.peak_suspended_bytes = suspended
 
     # -- report processing --------------------------------------------------------------------
 

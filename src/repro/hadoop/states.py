@@ -176,11 +176,3 @@ class AttemptState(enum.Enum):
             AttemptState.RUNNING,
             AttemptState.SUSPENDING,
         )
-
-
-#: dense integer codes for the TaskTracker-side attempt state table
-#: (per-state population counts consulted once per heartbeat)
-ATTEMPT_STATE_CODES = tuple(AttemptState)
-ATTEMPT_STATE_CODE: Dict[AttemptState, int] = {
-    state: code for code, state in enumerate(ATTEMPT_STATE_CODES)
-}

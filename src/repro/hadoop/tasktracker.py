@@ -17,7 +17,6 @@ temporary outputs of the killed task").
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import SlotExhaustedError, UnknownTaskError
@@ -34,61 +33,13 @@ from repro.hadoop.heartbeat import (
     TrackerAction,
 )
 from repro.hadoop.jvm import GcPolicy
-from repro.hadoop.states import (
-    ATTEMPT_STATE_CODE,
-    ATTEMPT_STATE_CODES,
-    AttemptState,
-)
+from repro.hadoop.states import AttemptState
 from repro.osmodel.kernel import NodeKernel
 from repro.sim.engine import Simulation
 from repro.workloads.jobspec import TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.jobtracker import JobTracker
-
-class AttemptStateTable:
-    """Array-of-struct attempt state for one TaskTracker incarnation.
-
-    One byte of state code per attempt ever launched on the tracker,
-    plus exact per-state population counts.  Attempts write through on
-    every transition (:meth:`repro.hadoop.attempt.TaskAttempt._set_state`),
-    which makes the per-heartbeat suspended-attempt count an O(1) array
-    read instead of a scan over the live attempt set.  A tracker
-    restart installs a *fresh* table; attempts of the dead incarnation
-    keep their reference to the old one, so late transitions from
-    stranded processes cannot corrupt the new daemon's counts.
-    """
-
-    __slots__ = ("codes", "attempt_ids", "counts")
-
-    def __init__(self):
-        self.codes = array("B")
-        self.attempt_ids: List[str] = []
-        self.counts = [0] * len(ATTEMPT_STATE_CODES)
-
-    def register(self, attempt_id: str, state: AttemptState) -> int:
-        """Add an attempt; returns its slot index."""
-        code = ATTEMPT_STATE_CODE[state]
-        index = len(self.codes)
-        self.codes.append(code)
-        self.attempt_ids.append(attempt_id)
-        self.counts[code] += 1
-        return index
-
-    def transition(self, index: int, old: AttemptState, new: AttemptState) -> None:
-        """Move one attempt's code between states."""
-        old_code = ATTEMPT_STATE_CODE[old]
-        new_code = ATTEMPT_STATE_CODE[new]
-        self.codes[index] = new_code
-        self.counts[old_code] -= 1
-        self.counts[new_code] += 1
-
-    def count(self, state: AttemptState) -> int:
-        """Current number of attempts in ``state``."""
-        return self.counts[ATTEMPT_STATE_CODE[state]]
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
 
 class TaskTracker:
@@ -108,6 +59,7 @@ class TaskTracker:
         self.jobtracker = jobtracker
         self.gc_policy = gc_policy
         self.host = kernel.config.hostname
+        self._heartbeat_label = f"tt.heartbeat:{self.host}"
         self.map_slots = config.map_slots
         self.reduce_slots = config.reduce_slots
         self.attempts: Dict[str, TaskAttempt] = {}
@@ -125,9 +77,6 @@ class TaskTracker:
         self._sequence = 0
         self._heartbeat_event = None
         self._oob_pending = False
-        #: per-incarnation attempt state codes + per-state counts;
-        #: replaced wholesale on restart (see AttemptStateTable)
-        self.attempt_table = AttemptStateTable()
         #: phase-locked heartbeat grid (config.heartbeat_phases > 0):
         #: absolute time of the first grid point and the integer index
         #: of the next one.  Grid instants are computed as
@@ -193,7 +142,7 @@ class TaskTracker:
         self._heartbeat_event = self.sim.schedule(
             stagger,
             self._heartbeat,
-            label=f"tt.heartbeat:{self.host}",
+            label=self._heartbeat_label,
         )
 
     def request_oob_heartbeat(self) -> None:
@@ -212,18 +161,23 @@ class TaskTracker:
 
     def _heartbeat(self, out_of_band: bool = False) -> None:
         self._oob_pending = False
-        report = self.build_report(out_of_band)
         self.heartbeats_sent += 1
-        response = self.jobtracker.heartbeat(report)
-        # Directives take one RPC hop to act on.  An empty response
-        # changes nothing on arrival, so it is not delivered at all.
-        if response.actions:
-            self.sim.schedule(
-                self.config.rpc_latency,
-                self._execute_actions,
-                response.actions,
-                label=f"tt.actions:{self.host}",
-            )
+        if not self._reportable and self.jobtracker.answer_idle(self):
+            # Nothing to report and nothing the JobTracker could offer:
+            # the heartbeat keeps its sequence number and its instant,
+            # but builds no report and skips the walk.
+            self._sequence += 1
+        else:
+            response = self.jobtracker.heartbeat(self.build_report(out_of_band))
+            # Directives take one RPC hop to act on.  An empty response
+            # changes nothing on arrival, so it is not delivered at all.
+            if response.actions:
+                self.sim.schedule(
+                    self.config.rpc_latency,
+                    self._execute_actions,
+                    response.actions,
+                    label=f"tt.actions:{self.host}",
+                )
         self._arm_periodic_heartbeat()
 
     def _arm_periodic_heartbeat(self) -> None:
@@ -241,7 +195,7 @@ class TaskTracker:
             self._heartbeat_event = self.sim.schedule(
                 self.config.heartbeat_interval,
                 self._heartbeat,
-                label=f"tt.heartbeat:{self.host}",
+                label=self._heartbeat_label,
             )
             return
         interval = self.config.heartbeat_interval
@@ -259,7 +213,7 @@ class TaskTracker:
         self._heartbeat_event = self.sim.schedule_at(
             origin + interval * tick,
             self._heartbeat,
-            label=f"tt.heartbeat:{self.host}",
+            label=self._heartbeat_label,
         )
 
     def build_report(self, out_of_band: bool = False) -> HeartbeatReport:
@@ -268,22 +222,29 @@ class TaskTracker:
         statuses = []
         reported_terminal = []
         for attempt in self._reportable.values():
-            if attempt.state.terminal and attempt.attempt_id not in self._unreported:
+            state = attempt.state
+            terminal = state.terminal
+            if terminal and attempt.attempt_id not in self._unreported:
                 continue
             statuses.append(
                 AttemptStatus(
                     attempt_id=attempt.attempt_id,
                     tip_id=attempt.tip_id,
                     job_id=attempt.job_id,
-                    state=attempt.state,
+                    state=state,
                     progress=attempt.progress(),
                     resident_bytes=attempt.resident_bytes(),
                     swapped_bytes=attempt.current_swapped_bytes(),
-                    discarded_network_bytes=attempt.discarded_network_bytes(),
-                    oom_killed=attempt.oom_killed(),
+                    # A live attempt has discarded nothing and was not
+                    # OOM-killed (the JobTracker reads these two on
+                    # FAILED/KILLED statuses only).
+                    discarded_network_bytes=(
+                        attempt.discarded_network_bytes() if terminal else 0
+                    ),
+                    oom_killed=terminal and attempt.oom_killed(),
                 )
             )
-            if attempt.state.terminal:
+            if terminal:
                 reported_terminal.append(attempt.attempt_id)
         for attempt_id in reported_terminal:
             self._unreported.remove(attempt_id)
@@ -294,10 +255,6 @@ class TaskTracker:
             free_map_slots=self.free_map_slots,
             free_reduce_slots=self.free_reduce_slots,
             attempts=statuses,
-            # O(1) table read; equals len(self.suspended_attempts())
-            # because SUSPENDED is never terminal, so every suspended
-            # attempt is still reportable.
-            suspended_count=self.attempt_table.count(AttemptState.SUSPENDED),
             out_of_band=out_of_band,
             headroom=self.kernel.memory_headroom(),
         )
@@ -452,11 +409,7 @@ class TaskTracker:
         self._map_slot_holders.clear()
         self._reduce_slot_holders.clear()
         self._oob_pending = False
-        # Fresh incarnation, fresh state table: stranded attempts of
-        # the dead daemon keep their reference to the old table and
-        # cannot perturb the new counts.  The phase grid restarts from
-        # the resurrection instant.
-        self.attempt_table = AttemptStateTable()
+        # The phase grid restarts from the resurrection instant.
         self._phase_origin = None
         self._phase_tick = 0
         self.trace("tt.restart")

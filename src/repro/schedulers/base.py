@@ -76,6 +76,18 @@ class TaskScheduler(abc.ABC):
         limits, so returning too many is safe but wasteful.
         """
 
+    def may_offer(self, index) -> bool:
+        """False only when a heartbeat from an idle tracker (nothing to
+        report, no tip bound to it) would certainly get nothing from
+        :meth:`assign_tasks` and change no scheduler state.
+
+        ``index`` is the JobTracker's standing
+        :class:`~repro.hadoop.heartbeat.JobIndex`.  The default, True,
+        keeps the full heartbeat walk for every scheduler that acts on
+        heartbeats.
+        """
+        return True
+
     # -- helpers shared by implementations ----------------------------------------
 
     def preempt_with_admission(self, primitive, tip: TaskInProgress) -> str:

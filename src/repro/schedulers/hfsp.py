@@ -170,6 +170,13 @@ class HfspScheduler(TaskScheduler):
             assigned.extend(chosen)
         return assigned
 
+    def may_offer(self, index: JobIndex) -> bool:
+        """An idle tracker gets nothing while no tip waits for a
+        restore, no job's candidacy verdict awaits repair and no job
+        is a candidate.  Pending size notes do not count: they only
+        reorder candidates, and a later repair computes the same key."""
+        return bool(self._suspended or index.sched_dirty or index.cand_ids)
+
     def _index_candidates(
         self, index: JobIndex, suspended_here: dict
     ) -> List[JobInProgress]:

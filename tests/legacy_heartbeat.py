@@ -1,12 +1,14 @@
 """The pre-elision TaskTracker heartbeat, kept verbatim as the oracle
 for the old-vs-new differential suite (``test_elision_differential``).
 
-This version schedules the ``tt.actions`` delivery one RPC hop after
-*every* heartbeat, even when the JobTracker's response carries no
-directive -- an event whose callback iterates an empty list.  The
-current :meth:`repro.hadoop.tasktracker.TaskTracker._heartbeat` skips
-those deliveries; the differential suite installs this function in its
-place to reproduce the old event stream exactly.
+This version builds a report and runs the JobTracker walk on *every*
+heartbeat, and schedules the ``tt.actions`` delivery one RPC hop
+after each, even when the JobTracker's response carries no directive
+-- an event whose callback iterates an empty list.  The current
+:meth:`repro.hadoop.tasktracker.TaskTracker._heartbeat` skips those
+deliveries and answers idle trackers without a report or a walk; the
+differential suite installs this function in its place to reproduce
+the old event stream exactly.
 """
 
 from __future__ import annotations

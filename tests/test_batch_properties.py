@@ -9,11 +9,9 @@ space rather than pinned to a handful of seeds:
 * **structure-of-arrays coherence** -- stop a live replay cell at an
   arbitrary mid-flight instant: every TIP's object view (state,
   tracker binding, full seconds) must agree with its slot in the
-  job's :class:`~repro.hadoop.job.JobHotArrays`, the cached
+  job's :class:`~repro.hadoop.job.JobHotArrays`, and the cached
   remaining-work/schedulable/pending-aux aggregates must equal a
-  from-scratch recompute, and every tracker's
-  :class:`~repro.hadoop.tasktracker.AttemptStateTable` must agree
-  with the live attempt objects and its own population counts;
+  from-scratch recompute;
 * **dispatch fold** -- for any small workload (seed, scenario,
   primitive, phase count), the batched and unbatched runs produce
   identical TraceLog digests: heartbeats answered from the standing
@@ -29,13 +27,7 @@ from repro.experiments.runner import derive_seed
 from repro.experiments.scale_study import _build_run
 from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.hadoop.job import JobState
-from repro.hadoop.states import (
-    ATTEMPT_STATE_CODE,
-    TIP_STATE_CODE,
-    AttemptState,
-    TipState,
-)
-from repro.hadoop.tasktracker import AttemptStateTable
+from repro.hadoop.states import TIP_STATE_CODE, TipState
 from repro.sim.engine import Simulation
 
 # -- engine FIFO ----------------------------------------------------------------
@@ -82,38 +74,6 @@ def test_engine_fifo_within_timestamp_follows_insertion_order(script, data):
         ]
 
 
-# -- AttemptStateTable counts -------------------------------------------------
-
-STATES = list(AttemptState)
-
-#: op scripts: True = register a new attempt in a random state,
-#: False = transition a random existing attempt to a random state
-TABLE_OPS = st.lists(
-    st.tuples(st.booleans(), st.integers(min_value=0, max_value=10 ** 6),
-              st.sampled_from(STATES)),
-    max_size=60,
-)
-
-
-@given(ops=TABLE_OPS)
-def test_attempt_state_table_counts_match_scan(ops):
-    table = AttemptStateTable()
-    mirror = []  # slot -> AttemptState, the brute-force view
-    for register, pick, state in ops:
-        if register or not mirror:
-            index = table.register(f"attempt_{len(mirror)}", state)
-            assert index == len(mirror)
-            mirror.append(state)
-        else:
-            index = pick % len(mirror)
-            table.transition(index, mirror[index], state)
-            mirror[index] = state
-    assert len(table) == len(mirror)
-    for state in STATES:
-        assert table.count(state) == sum(1 for s in mirror if s is state)
-    assert list(table.codes) == [ATTEMPT_STATE_CODE[s] for s in mirror]
-
-
 # -- structure-of-arrays coherence --------------------------------------------
 
 
@@ -150,23 +110,6 @@ def _assert_job_coherent(job):
     assert job.pending_aux_tip() is expect_aux
 
 
-def _assert_tracker_coherent(tracker):
-    table = tracker.attempt_table
-    # Internal consistency: the counts array is the code histogram.
-    for state in STATES:
-        code = ATTEMPT_STATE_CODE[state]
-        assert table.counts[code] == sum(
-            1 for c in table.codes if c == code
-        )
-    # Live attempts of this incarnation write through to this table.
-    for attempt in tracker.attempts.values():
-        if attempt._table is table:
-            assert (
-                table.codes[attempt._table_index]
-                == ATTEMPT_STATE_CODE[attempt.state]
-            )
-
-
 @pytest.mark.integration
 @settings(
     max_examples=12,
@@ -188,8 +131,6 @@ def test_soa_views_coherent_mid_flight(seed_salt, stop_at, scenario, phases):
     cluster.sim.run(until=stop_at)
     for job in cluster.jobtracker.jobs.values():
         _assert_job_coherent(job)
-    for tracker in cluster.trackers.values():
-        _assert_tracker_coherent(tracker)
 
 
 # -- dispatch fold ------------------------------------------------------------

@@ -1,21 +1,30 @@
-"""Exactness of the per-heartbeat caches, checked while runs execute.
+"""Exactness of the per-heartbeat shortcuts, checked while runs execute.
 
-Two caches answer every heartbeat in place of a fresh scan:
+Three shortcuts answer heartbeats in place of a fresh computation:
 
 * the idle-node headroom memo -- :meth:`VirtualMemoryManager.headroom`
   hands a node with no live process its previous snapshot while the
   page-cache size and the swap use stand still;
 * the JobTracker's standing :class:`~repro.hadoop.heartbeat.JobIndex`
   -- live-job membership, the pending-aux list, and HFSP's SRPT
-  candidate order, all repaired from job notes instead of rebuilt.
+  candidate order, all repaired from job notes instead of rebuilt;
+* the idle answer -- :meth:`JobTracker.answer_idle` replies to a
+  tracker with nothing to report, without a report or a walk, when
+  nothing could be offered to it.
 
-Each run below wraps ``VirtualMemoryManager.headroom`` and
-``JobTracker.heartbeat``.  Every snapshot served must ``==`` a
-full-scan recompute, and after every heartbeat the index -- repaired
-to the present -- must ``==`` a from-scratch build over
-``running_jobs()``.  Repairing between heartbeats moves no result:
-repairs read only cached, pure job views, so the runs still do the
-science they would do unobserved.
+Each run below wraps ``VirtualMemoryManager.headroom``,
+``JobTracker.heartbeat`` and ``JobTracker.answer_idle``.  Every
+snapshot served must ``==`` a full-scan recompute, and after every
+heartbeat the index -- repaired to the present -- must ``==`` a
+from-scratch build over ``running_jobs()``.  After every idle answer
+the skipped walk runs anyway, as a shadow over a normally built
+report, and must return no action; the index is checked after it too.
+The index checks repair a copy and leave the run's own notes
+pending, so a note a shortcut must not ignore stays visible to the
+next idle answer.  The shadow walk does repair the run's index, which
+moves no result: repairs read only cached, pure job views.  It also
+leaves the tracker's sequence number and the JobTracker's heartbeat
+count as the idle answer left them.
 
 Every experiment family of ``tests/test_elision_differential.py`` is
 covered, with the standing index forced on where the study leaves
@@ -30,6 +39,7 @@ from repro.experiments.runner import derive_seed
 from repro.experiments.scale_study import _build_run
 from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
+from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.jobtracker import JobTracker
 from repro.osmodel.config import NodeConfig
 from repro.osmodel.kernel import NodeKernel
@@ -66,9 +76,22 @@ def srpt_key(job):
     return (job.remaining_work_seconds(), job.submit_time, job.job_id)
 
 
+def repaired_copy(index):
+    """A copy of ``index`` with its notes repaired; ``index`` itself
+    keeps its pending notes, so checking it changes no later answer."""
+    copy = JobIndex()
+    for name in JobIndex.__slots__:
+        value = getattr(index, name)
+        if not isinstance(value, int):
+            value = type(value)(value)
+        setattr(copy, name, value)
+    return copy
+
+
 def assert_index_exact(jobtracker):
-    """The standing index, repaired now, equals a from-scratch build."""
-    index = jobtracker._job_index
+    """The standing index, repaired now (as a copy), equals a
+    from-scratch build."""
+    index = repaired_copy(jobtracker._job_index)
     running = jobtracker.running_jobs()
     ids = [job.job_id for job in running]
     assert list(index.job_pos) == ids
@@ -95,12 +118,14 @@ class Checks:
     headroom = 0
     idle_headroom = 0
     heartbeats = 0
+    idle_answers = 0
 
 
 def checked_run(monkeypatch, fn):
     checks = Checks()
     headroom = VirtualMemoryManager.headroom
     heartbeat = JobTracker.heartbeat
+    answer_idle = JobTracker.answer_idle
     init = JobTracker.__init__
 
     def checked_headroom(self):
@@ -117,12 +142,24 @@ def checked_run(monkeypatch, fn):
         checks.heartbeats += 1
         return response
 
+    def checked_answer_idle(self, tracker):
+        if not answer_idle(self, tracker):
+            return False
+        sequence, received = tracker._sequence, self.heartbeats_received
+        shadow = heartbeat(self, tracker.build_report())
+        tracker._sequence, self.heartbeats_received = sequence, received
+        assert shadow.actions == []
+        assert_index_exact(self)
+        checks.idle_answers += 1
+        return True
+
     def indexed_init(self, sim, config, scheduler):
         init(self, sim, config.replace(batch_heartbeats=True), scheduler)
 
     with monkeypatch.context() as patch:
         patch.setattr(VirtualMemoryManager, "headroom", checked_headroom)
         patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
+        patch.setattr(JobTracker, "answer_idle", checked_answer_idle)
         patch.setattr(JobTracker, "__init__", indexed_init)
         fn()
     assert checks.heartbeats > 0
@@ -134,18 +171,20 @@ def checked_run(monkeypatch, fn):
 @pytest.mark.parametrize("scenario", ["steady", "shuffle-heavy", "baseline"])
 def test_scale_cell(monkeypatch, scenario):
     seed = derive_seed(9000, "scale", scenario, 15, "suspend", 0)
-    checked_run(monkeypatch, lambda: scale_run_once(
+    checks = checked_run(monkeypatch, lambda: scale_run_once(
         scenario=scenario, primitive_name="suspend", trackers=15,
         num_jobs=10, seed=seed, heartbeat_phases=4, batch_heartbeats=True,
     ))
+    assert checks.idle_answers > 0
 
 
 def test_scale_cell_drifting_heartbeats(monkeypatch):
     seed = derive_seed(9000, "scale", "baseline", 15, "kill", 0)
-    checked_run(monkeypatch, lambda: scale_run_once(
+    checks = checked_run(monkeypatch, lambda: scale_run_once(
         scenario="baseline", primitive_name="kill", trackers=15,
         num_jobs=10, seed=seed,
     ))
+    assert checks.idle_answers > 0
 
 
 def test_scale_cell_with_killed_jobs(monkeypatch):
@@ -171,7 +210,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
         assert all(job.job_id not in jobtracker._job_index.job_pos
                    for job in victims)
 
-    checked_run(monkeypatch, run)
+    assert checked_run(monkeypatch, run).idle_answers > 0
 
 
 def test_shuffle_cell(monkeypatch):
@@ -234,3 +273,68 @@ def test_idle_memo_tracks_every_mutable_input():
     assert kernel.memory_headroom() == full_scan_headroom(vmm)
     proc.die_oom()
     assert kernel.memory_headroom() == full_scan_headroom(vmm)
+
+
+def one_map_job():
+    from repro.workloads.jobspec import JobSpec, TaskSpec
+
+    return JobSpec(name="one", tasks=[
+        TaskSpec(input_bytes=70 * MB, parse_rate=7 * MB, output_bytes=0),
+    ])
+
+
+def test_node_loss_requeue_reaches_an_idle_tracker(monkeypatch):
+    """A lost node's task returns to the queue outside any heartbeat.
+    Its pending candidacy note must stop the next idle answer, or the
+    idle survivor would never be offered the task."""
+    from repro.hadoop.job import JobState
+    from repro.schedulers.hfsp import HfspScheduler
+    from tests.conftest import quick_cluster
+
+    def run():
+        cluster = quick_cluster(
+            num_nodes=2, scheduler=HfspScheduler(),
+            run_job_setup_cleanup=False,
+        )
+        job = cluster.submit_job(one_map_job())
+        (tip,) = job.tips
+        cluster.start()
+        cluster.sim.run(until=3.0)
+        lost = tip.tracker
+        assert lost is not None and tip.state.active
+        cluster.trackers[lost].shutdown()
+        cluster.run_until_jobs_complete()
+        assert job.state is JobState.SUCCEEDED
+        assert tip.tracker not in (None, lost)
+
+    assert checked_run(monkeypatch, run).idle_answers > 0
+
+
+def test_idle_answer_waits_while_a_tip_is_bound_to_the_host():
+    """A tip bound to the host may owe it a directive, so the tracker
+    gets the full walk even with nothing to report and nothing to
+    offer.  Here the tip is killed while its launch is on the wire:
+    the tracker holds no attempt yet, but the walk must send the kill."""
+    from repro.hadoop.heartbeat import KillTaskAction
+    from repro.schedulers.hfsp import HfspScheduler
+    from tests.conftest import quick_cluster
+
+    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    jobtracker = cluster.jobtracker
+    job = cluster.submit_job(one_map_job())
+    (tip,) = job.tips
+    cluster.start()
+    while tip.tracker is None:
+        assert cluster.sim.step()
+    tracker = cluster.trackers[tip.tracker]
+    assert not tracker._reportable  # the launch has not landed
+    jobtracker.kill_task(tip.tip_id)
+    jobtracker.scheduler._index_candidates(jobtracker._job_index, {})
+    assert not jobtracker.scheduler.may_offer(jobtracker._job_index)
+    received = jobtracker.heartbeats_received
+    assert not jobtracker.answer_idle(tracker)
+    assert jobtracker.heartbeats_received == received
+    response = jobtracker.heartbeat(tracker.build_report())
+    assert response.actions == [
+        KillTaskAction(attempt_id=tip.active_attempt_id, reason="preempted")
+    ]
