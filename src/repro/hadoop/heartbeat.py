@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.hadoop.states import AttemptState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.job import JobInProgress
-    from repro.osmodel.vmm import MemoryHeadroom
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,8 +28,6 @@ class AttemptStatus:
     job_id: str
     state: AttemptState
     progress: float
-    resident_bytes: int = 0
-    swapped_bytes: int = 0
     #: shuffle traffic a terminal (killed/failed) attempt discards;
     #: the JobTracker charges it to the wasted-network-bytes ledger
     discarded_network_bytes: int = 0
@@ -49,16 +46,9 @@ class HeartbeatReport:
     free_reduce_slots: int
     attempts: List[AttemptStatus] = field(default_factory=list)
     out_of_band: bool = False
-    #: per-node memory/swap headroom snapshot (Section III-A's
-    #: operands), taken once per heartbeat by the TaskTracker
-    headroom: Optional["MemoryHeadroom"] = None
-
-    def status_of(self, attempt_id: str) -> Optional[AttemptStatus]:
-        """Find one attempt's status in this report."""
-        for status in self.attempts:
-            if status.attempt_id == attempt_id:
-                return status
-        return None
+    #: resident + swapped bytes of the node's suspended processes --
+    #: the suspended total of Section III-A's constraint
+    suspended_bytes: int = 0
 
 
 class TrackerAction:

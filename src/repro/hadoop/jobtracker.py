@@ -51,6 +51,11 @@ from repro.metrics.wasted import (
 from repro.sim.engine import Simulation
 from repro.workloads.jobspec import JobSpec, TaskKind, TaskSpec
 
+#: the tip states :meth:`JobTracker._preemption_actions` acts on
+_DIRECTIVE_STATES = frozenset(
+    (TipState.MUST_SUSPEND, TipState.MUST_RESUME, TipState.MUST_KILL)
+)
+
 
 @dataclass(frozen=True)
 class AttemptDescriptor:
@@ -74,8 +79,10 @@ class JobTracker:
         self.jobs: Dict[str, JobInProgress] = {}
         self.trackers: Dict[str, "object"] = {}
         self._tips: Dict[str, TaskInProgress] = {}
-        #: host -> {tip_id: tip} for tips whose active attempt runs
-        #: there; maintained through the TIPs' tracker observers so
+        #: host -> {tip_id: tip} for tips bound there: live tips whose
+        #: active attempt runs (or is launching) there, and succeeded
+        #: tips, which stay bound so a lost host's map output can be
+        #: requeued; maintained through the TIPs' tracker observers so
         #: heartbeat handling is O(tips on that host), not O(all tips)
         self._tips_by_tracker: Dict[str, Dict[str, TaskInProgress]] = {}
         #: submission-ordered index of not-yet-terminal jobs; pruned
@@ -93,9 +100,6 @@ class JobTracker:
         self.heartbeats_received = 0
         #: virtual time of each tracker's last heartbeat (expiry input)
         self.last_heartbeat: Dict[str, float] = {}
-        #: last memory/swap headroom snapshot each tracker reported --
-        #: the JobTracker-side view schedulers and studies introspect
-        self.tracker_headroom: Dict[str, "object"] = {}
         #: largest per-node suspended total (resident + swapped) any
         #: heartbeat ever reported -- Section III-A's operand, the
         #: quantity the memscale study plots against the swap size
@@ -388,9 +392,21 @@ class JobTracker:
     # -- heartbeat handling -----------------------------------------------------------------
 
     def heartbeat(self, report: HeartbeatReport) -> HeartbeatResponse:
-        """Process a TaskTracker report and reply with directives."""
-        self._note_heartbeat(report.tracker, report.headroom)
+        """Process a TaskTracker report and reply with directives.
+
+        The walk is skipped when :meth:`_walk_is_empty` proves it would
+        return no action -- asked after processing, since a status can
+        complete a job or requeue a tip.
+        """
+        self._note_heartbeat(report.tracker, report.suspended_bytes)
         self._process_report(report)
+        if self._walk_is_empty(report.tracker):
+            return HeartbeatResponse(sequence=report.sequence)
+        return self._walk(report)
+
+    def _walk(self, report: HeartbeatReport) -> HeartbeatResponse:
+        """Directives, aux launches, the scheduler and the speculator,
+        over an already-processed report."""
         index = self._job_index
         actions: List[TrackerAction] = []
         free_map = report.free_map_slots
@@ -475,19 +491,22 @@ class JobTracker:
         """Answer an idle tracker's heartbeat without a report or a walk.
 
         The TaskTracker asks only when it has nothing to report.  True
-        means the full :meth:`heartbeat` walk would return no action
-        and leave nothing a later walk would not redo the same way, so
-        only its bookkeeping is done here; False means the caller must
-        build a report and walk.  The walk is provably empty when, with
-        the standing index on:
+        means :meth:`heartbeat` would return no action, so only its
+        bookkeeping is done here; False means the caller must build a
+        report and send it.
+        """
+        if not self._walk_is_empty(tracker.host):
+            return False
+        self._note_heartbeat(tracker.host, tracker.kernel.suspended_bytes())
+        return True
 
-        * no job has a pending (or possibly pending) setup/cleanup tip;
-        * no speculator could book a backup into a free slot;
-        * no tip is bound to the host, so no directive can be due;
-        * the scheduler reports it has nothing it could offer.
-
-        Only reads state: nothing is repaired, so a later walk repairs
-        the same notes to the same result.
+    def _walk_is_empty(self, host: str) -> bool:
+        """True only when a walk for ``host`` provably returns no
+        action: the standing index is on, no job has a pending (or
+        possibly pending) setup/cleanup tip, no speculator could book
+        a backup, the scheduler has nothing it could offer, and no tip
+        bound to the host awaits a directive.  Only reads state, so a
+        later walk repairs the same notes to the same result.
         """
         index = self._job_index
         if (
@@ -495,23 +514,26 @@ class JobTracker:
             or index.aux_dirty
             or index.aux_jobs
             or self.speculator is not None
-            or self._tips_by_tracker.get(tracker.host)
             or self.scheduler.may_offer(index)
         ):
             return False
-        self._note_heartbeat(tracker.host, tracker.kernel.memory_headroom())
+        bucket = self._tips_by_tracker.get(host)
+        if bucket:
+            for tip in bucket.values():
+                if (
+                    tip.state in _DIRECTIVE_STATES
+                    and tip.active_attempt_id is not None
+                ):
+                    return False
         return True
 
-    def _note_heartbeat(self, host: str, headroom) -> None:
+    def _note_heartbeat(self, host: str, suspended_bytes: int) -> None:
         """Every heartbeat's bookkeeping: liveness (the expiry input)
-        and the node's memory/swap headroom snapshot."""
+        and the node's suspended total (Section III-A's operand)."""
         self.heartbeats_received += 1
         self.last_heartbeat[host] = self.sim.now
-        if headroom is not None:
-            self.tracker_headroom[host] = headroom
-            suspended = headroom.stopped_resident + headroom.stopped_swapped
-            if suspended > self.peak_suspended_bytes:
-                self.peak_suspended_bytes = suspended
+        if suspended_bytes > self.peak_suspended_bytes:
+            self.peak_suspended_bytes = suspended_bytes
 
     # -- report processing --------------------------------------------------------------------
 

@@ -233,8 +233,6 @@ class TaskTracker:
                     job_id=attempt.job_id,
                     state=state,
                     progress=attempt.progress(),
-                    resident_bytes=attempt.resident_bytes(),
-                    swapped_bytes=attempt.current_swapped_bytes(),
                     # A live attempt has discarded nothing and was not
                     # OOM-killed (the JobTracker reads these two on
                     # FAILED/KILLED statuses only).
@@ -256,7 +254,7 @@ class TaskTracker:
             free_reduce_slots=self.free_reduce_slots,
             attempts=statuses,
             out_of_band=out_of_band,
-            headroom=self.kernel.memory_headroom(),
+            suspended_bytes=self.kernel.suspended_bytes(),
         )
 
     # -- directive execution ----------------------------------------------------------------

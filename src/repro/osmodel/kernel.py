@@ -244,9 +244,19 @@ class NodeKernel:
     # -- introspection ----------------------------------------------------------
 
     def memory_headroom(self) -> MemoryHeadroom:
-        """One-pass memory/swap headroom snapshot (heartbeats and the
-        suspend-admission gate read this)."""
+        """One-pass memory/swap headroom snapshot (the suspend-admission
+        gate reads this)."""
         return self.vmm.headroom()
+
+    def suspended_bytes(self) -> int:
+        """Resident + swapped bytes of the stopped processes, in one
+        pass over the live table: the suspended total of Section
+        III-A's constraint, which every heartbeat reports."""
+        total = 0
+        for proc in self._processes.values():
+            if proc.stopped:
+                total += proc.image.virtual
+        return total
 
     def memory_summary(self) -> Dict[str, int]:
         """Snapshot of RAM/cache/swap usage (bytes)."""

@@ -23,7 +23,7 @@ of evicting a suspended ``tl``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.errors import OutOfMemoryError
 from repro.osmodel.config import NodeConfig
@@ -68,9 +68,10 @@ class MemoryHeadroom:
 
     This is the quantity Section III-A's constraint is stated over:
     the aggregate memory of running + suspended tasks must fit in
-    RAM + swap.  TaskTrackers attach a snapshot to every heartbeat and
-    the suspend-admission gate reads it before issuing SIGTSTP, so the
-    constraint is actively managed instead of discovered as an OOM.
+    RAM + swap.  The suspend-admission gate reads it before issuing
+    SIGTSTP, so the constraint is actively managed instead of
+    discovered as an OOM.  (Heartbeats carry only the suspended total,
+    :meth:`repro.osmodel.kernel.NodeKernel.suspended_bytes`.)
     """
 
     #: RAM free without any reclaim (bytes)
@@ -113,13 +114,6 @@ class VirtualMemoryManager:
         self.swap = SwapArea(capacity=config.swap_bytes)
         self.reclaim_events = 0
         self.oom_events = 0
-        #: the last snapshot :meth:`headroom` took on an idle node (no
-        #: live process), with the page-cache size and swap use it was
-        #: taken under (-1 matches no real size: no snapshot yet); every
-        #: other input is fixed at construction
-        self._idle_headroom: Optional[MemoryHeadroom] = None
-        self._idle_cache_size = -1
-        self._idle_swap_used = -1
 
     # -- accounting -----------------------------------------------------------
 
@@ -143,37 +137,24 @@ class VirtualMemoryManager:
     def headroom(self) -> MemoryHeadroom:
         """Snapshot the node's memory/swap headroom in one pass.
 
-        Batching matters at scale: heartbeat building and the suspend
-        admission gate both need these totals, and a single walk over
-        the (handful of) live processes replaces the per-attempt
-        resident/swap sums the old swap-capacity check performed.
-
-        An idle node -- most of a large cluster's heartbeats -- gets
-        its previous snapshot back when the page-cache size and the
-        swap use are unchanged: with no live process those two are the
-        only inputs that can move, so the memo is exactly the value a
-        recompute would build.
+        The suspend-admission gate needs these totals, and a single
+        walk over the (handful of) live processes replaces the
+        per-attempt resident/swap sums the old swap-capacity check
+        performed.
         """
-        processes = self._live_processes()
-        cache_size = self.page_cache.size
-        swap_used = self.swap.used
-        if (
-            not processes
-            and cache_size == self._idle_cache_size
-            and swap_used == self._idle_swap_used
-        ):
-            return self._idle_headroom
         running = stopped = stopped_swapped = 0
         stopped_count = 0
-        for proc in processes:
+        for proc in self._live_processes():
             if proc.stopped:
                 stopped += proc.image.resident
                 stopped_swapped += proc.image.swapped
                 stopped_count += 1
             else:
                 running += proc.image.resident
-        free_ram = self.config.usable_ram_bytes - running - stopped - cache_size
-        snapshot = MemoryHeadroom(
+        free_ram = (
+            self.config.usable_ram_bytes - running - stopped - self.page_cache.size
+        )
+        return MemoryHeadroom(
             free_ram=free_ram,
             evictable_cache=self.page_cache.evictable,
             free_swap=self.swap.free,
@@ -182,11 +163,6 @@ class VirtualMemoryManager:
             stopped_swapped=stopped_swapped,
             stopped_count=stopped_count,
         )
-        if not processes:
-            self._idle_headroom = snapshot
-            self._idle_cache_size = cache_size
-            self._idle_swap_used = swap_used
-        return snapshot
 
     # -- page cache population --------------------------------------------------
 

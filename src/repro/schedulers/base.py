@@ -77,9 +77,10 @@ class TaskScheduler(abc.ABC):
         """
 
     def may_offer(self, index) -> bool:
-        """False only when a heartbeat from an idle tracker (nothing to
-        report, no tip bound to it) would certainly get nothing from
-        :meth:`assign_tasks` and change no scheduler state.
+        """False only when any tracker's heartbeat, its report already
+        processed, would certainly get nothing from :meth:`assign_tasks`
+        and change no scheduler state a later call would not redo the
+        same way.
 
         ``index`` is the JobTracker's standing
         :class:`~repro.hadoop.heartbeat.JobIndex`.  The default, True,

@@ -104,13 +104,13 @@ class HfspScheduler(TaskScheduler):
         free_reduce_slots: int,
         index: Optional[JobIndex] = None,
     ) -> List[TaskInProgress]:
-        suspended_here = self._suspended_on(tracker)
         if free_map_slots <= 0 and free_reduce_slots <= 0:
             # Saturated tracker: the job loop below would break on its
             # first iteration (restores need a free slot too), so skip
-            # the SRPT sort entirely -- on a loaded cluster this is the
-            # common case for every heartbeat.
+            # the suspended-tip scan and the SRPT sort entirely -- on a
+            # loaded cluster this is the common case for every heartbeat.
             return []
+        suspended_here = self._suspended_on(tracker)
         if index is not None:
             # Batched path: the standing SRPT order, repaired from the
             # jobs' size/sched notes, so each walk visits only the jobs
@@ -171,7 +171,7 @@ class HfspScheduler(TaskScheduler):
         return assigned
 
     def may_offer(self, index: JobIndex) -> bool:
-        """An idle tracker gets nothing while no tip waits for a
+        """No tracker gets anything while no tip waits for a
         restore, no job's candidacy verdict awaits repair and no job
         is a candidate.  Pending size notes do not count: they only
         reorder candidates, and a later repair computes the same key."""

@@ -1,14 +1,15 @@
-"""The pre-elision TaskTracker heartbeat, kept verbatim as the oracle
-for the old-vs-new differential suite (``test_elision_differential``).
+"""The pre-elision TaskTracker heartbeat, kept as the oracle for the
+old-vs-new differential suite (``test_elision_differential``).
 
 This version builds a report and runs the JobTracker walk on *every*
 heartbeat, and schedules the ``tt.actions`` delivery one RPC hop
 after each, even when the JobTracker's response carries no directive
 -- an event whose callback iterates an empty list.  The current
 :meth:`repro.hadoop.tasktracker.TaskTracker._heartbeat` skips those
-deliveries and answers idle trackers without a report or a walk; the
-differential suite installs this function in its place to reproduce
-the old event stream exactly.
+deliveries, answers idle trackers without a report or a walk, and
+:meth:`repro.hadoop.jobtracker.JobTracker.heartbeat` skips walks it
+can prove empty; the differential suite installs this function in its
+place to reproduce the old event stream exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ def legacy_heartbeat(self, out_of_band: bool = False) -> None:
     self._oob_pending = False
     report = self.build_report(out_of_band)
     self.heartbeats_sent += 1
-    response = self.jobtracker.heartbeat(report)
+    # Note, process and walk explicitly: JobTracker.heartbeat now
+    # skips a walk it can prove empty, and the oracle must not.
+    jobtracker = self.jobtracker
+    jobtracker._note_heartbeat(report.tracker, report.suspended_bytes)
+    jobtracker._process_report(report)
+    response = jobtracker._walk(report)
     # Directives take one RPC hop to act on.
     self.sim.schedule(
         self.config.rpc_latency,

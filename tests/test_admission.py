@@ -261,10 +261,8 @@ class TestOomKillPath:
         assert cluster.jobtracker.oom_kills >= 1
         # The suspended victim keeps its image through the kill storm.
         assert tip.state is TipState.SUSPENDED
-        # Heartbeats carried the headroom view to the JobTracker: the
+        # Heartbeats carried the suspended total to the JobTracker: the
         # per-node suspended peak reflects the parked victim.
-        reported = cluster.jobtracker.tracker_headroom["node00"]
-        assert reported.stopped_resident + reported.stopped_swapped >= 300 * MB
         assert cluster.jobtracker.peak_suspended_bytes >= 300 * MB
         cluster.check_invariants()
 

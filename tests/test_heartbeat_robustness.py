@@ -131,12 +131,20 @@ class TestSuspendedStatusBookkeeping:
         assert 0.3 <= tip.progress <= 0.55
 
     def test_report_carries_memory_fields(self):
+        """A report carries the node's suspended total: nothing while
+        the task runs, its whole image once it is stopped."""
         cluster = quick_cluster()
-        cluster.submit_job(job_spec())
+        job = cluster.submit_job(job_spec())
         cluster.start()
         cluster.sim.run(until=6.0)
-        report = cluster.trackers["node00"].build_report()
-        work = [s for s in report.attempts if "_m_" in s.attempt_id]
-        assert work
-        assert work[0].resident_bytes > 0
-        assert work[0].swapped_bytes == 0
+        tip = job.tips[0]
+        assert tip.state is TipState.RUNNING
+        tracker = cluster.trackers[tip.tracker]
+        assert tracker.build_report().suspended_bytes == 0
+        cluster.jobtracker.suspend_task(tip.tip_id)
+        while tip.state is not TipState.SUSPENDED:
+            assert cluster.sim.step()
+        (attempt,) = tracker.suspended_attempts()
+        image = attempt.resident_bytes() + attempt.current_swapped_bytes()
+        assert image > 0
+        assert tracker.build_report().suspended_bytes == image

@@ -2,29 +2,30 @@
 
 Three shortcuts answer heartbeats in place of a fresh computation:
 
-* the idle-node headroom memo -- :meth:`VirtualMemoryManager.headroom`
-  hands a node with no live process its previous snapshot while the
-  page-cache size and the swap use stand still;
 * the JobTracker's standing :class:`~repro.hadoop.heartbeat.JobIndex`
   -- live-job membership, the pending-aux list, and HFSP's SRPT
   candidate order, all repaired from job notes instead of rebuilt;
+* the skipped walk -- :meth:`JobTracker.heartbeat` processes a report
+  and then skips the walk when ``_walk_is_empty`` proves it would
+  return no action;
 * the idle answer -- :meth:`JobTracker.answer_idle` replies to a
   tracker with nothing to report, without a report or a walk, when
-  nothing could be offered to it.
+  the same predicate holds.
 
-Each run below wraps ``VirtualMemoryManager.headroom``,
-``JobTracker.heartbeat`` and ``JobTracker.answer_idle``.  Every
-snapshot served must ``==`` a full-scan recompute, and after every
-heartbeat the index -- repaired to the present -- must ``==`` a
-from-scratch build over ``running_jobs()``.  After every idle answer
-the skipped walk runs anyway, as a shadow over a normally built
-report, and must return no action; the index is checked after it too.
-The index checks repair a copy and leave the run's own notes
-pending, so a note a shortcut must not ignore stays visible to the
-next idle answer.  The shadow walk does repair the run's index, which
-moves no result: repairs read only cached, pure job views.  It also
-leaves the tracker's sequence number and the JobTracker's heartbeat
-count as the idle answer left them.
+Each run below wraps ``JobTracker.heartbeat``, ``JobTracker._walk``
+and ``JobTracker.answer_idle``.  Every report's ``suspended_bytes``
+must equal the node's headroom snapshot's suspended total, and after
+every heartbeat the index --
+repaired to the present -- must ``==`` a from-scratch build over
+``running_jobs()``.  After every walk that ``heartbeat`` skipped, and
+after every idle answer, the skipped walk runs anyway as a shadow
+(over the processed report, or over a normally built one) and must
+return no action; the index is checked after it too.  The index
+checks repair a copy and leave the run's own notes pending, so a note
+a shortcut must not ignore stays visible to the next heartbeat.  The
+shadow walk does repair the run's index, which moves no result:
+repairs read only cached, pure job views.  The idle shadow leaves the
+tracker's sequence number as the idle answer left it.
 
 Every experiment family of ``tests/test_elision_differential.py`` is
 covered, with the standing index forced on where the study leaves
@@ -41,35 +42,7 @@ from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.jobtracker import JobTracker
-from repro.osmodel.config import NodeConfig
-from repro.osmodel.kernel import NodeKernel
-from repro.osmodel.vmm import MemoryHeadroom, VirtualMemoryManager
-from repro.sim.engine import Simulation
-from repro.units import GB, MB
-
-
-def full_scan_headroom(vmm):
-    """The snapshot by definition: one pass over the live processes."""
-    processes = vmm._live_processes()
-    assert all(proc.alive for proc in processes)
-    stopped = [proc for proc in processes if proc.stopped]
-    running = [proc for proc in processes if not proc.stopped]
-    running_resident = sum(proc.image.resident for proc in running)
-    stopped_resident = sum(proc.image.resident for proc in stopped)
-    return MemoryHeadroom(
-        free_ram=(
-            vmm.config.usable_ram_bytes
-            - running_resident
-            - stopped_resident
-            - vmm.page_cache.size
-        ),
-        evictable_cache=vmm.page_cache.evictable,
-        free_swap=vmm.swap.free,
-        running_resident=running_resident,
-        stopped_resident=stopped_resident,
-        stopped_swapped=sum(proc.image.swapped for proc in stopped),
-        stopped_count=len(stopped),
-    )
+from repro.units import MB
 
 
 def srpt_key(job):
@@ -115,29 +88,35 @@ def assert_index_exact(jobtracker):
 class Checks:
     """Counts of the checks a run made (so a cell cannot pass vacuously)."""
 
-    headroom = 0
-    idle_headroom = 0
     heartbeats = 0
+    walks = 0
+    skipped_walks = 0
     idle_answers = 0
 
 
 def checked_run(monkeypatch, fn):
     checks = Checks()
-    headroom = VirtualMemoryManager.headroom
     heartbeat = JobTracker.heartbeat
+    walk = JobTracker._walk
     answer_idle = JobTracker.answer_idle
     init = JobTracker.__init__
 
-    def checked_headroom(self):
-        served = headroom(self)
-        assert served == full_scan_headroom(self)
-        checks.headroom += 1
-        if not self._live_processes():
-            checks.idle_headroom += 1
-        return served
+    def counted_walk(self, report):
+        checks.walks += 1
+        return walk(self, report)
 
     def checked_heartbeat(self, report):
+        # The report's one memory figure is the headroom snapshot's
+        # suspended total, taken over the same live processes.
+        head = self.trackers[report.tracker].kernel.memory_headroom()
+        assert report.suspended_bytes == (
+            head.stopped_resident + head.stopped_swapped
+        )
+        walks = checks.walks
         response = heartbeat(self, report)
+        if checks.walks == walks:
+            assert walk(self, report).actions == []
+            checks.skipped_walks += 1
         assert_index_exact(self)
         checks.heartbeats += 1
         return response
@@ -145,9 +124,9 @@ def checked_run(monkeypatch, fn):
     def checked_answer_idle(self, tracker):
         if not answer_idle(self, tracker):
             return False
-        sequence, received = tracker._sequence, self.heartbeats_received
-        shadow = heartbeat(self, tracker.build_report())
-        tracker._sequence, self.heartbeats_received = sequence, received
+        sequence = tracker._sequence
+        shadow = walk(self, tracker.build_report())
+        tracker._sequence = sequence
         assert shadow.actions == []
         assert_index_exact(self)
         checks.idle_answers += 1
@@ -157,14 +136,12 @@ def checked_run(monkeypatch, fn):
         init(self, sim, config.replace(batch_heartbeats=True), scheduler)
 
     with monkeypatch.context() as patch:
-        patch.setattr(VirtualMemoryManager, "headroom", checked_headroom)
         patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
+        patch.setattr(JobTracker, "_walk", counted_walk)
         patch.setattr(JobTracker, "answer_idle", checked_answer_idle)
         patch.setattr(JobTracker, "__init__", indexed_init)
         fn()
     assert checks.heartbeats > 0
-    assert checks.headroom >= checks.heartbeats
-    assert checks.idle_headroom > 0
     return checks
 
 
@@ -176,6 +153,7 @@ def test_scale_cell(monkeypatch, scenario):
         num_jobs=10, seed=seed, heartbeat_phases=4, batch_heartbeats=True,
     ))
     assert checks.idle_answers > 0
+    assert checks.skipped_walks > 0
 
 
 def test_scale_cell_drifting_heartbeats(monkeypatch):
@@ -185,6 +163,7 @@ def test_scale_cell_drifting_heartbeats(monkeypatch):
         num_jobs=10, seed=seed,
     ))
     assert checks.idle_answers > 0
+    assert checks.skipped_walks > 0
 
 
 def test_scale_cell_with_killed_jobs(monkeypatch):
@@ -210,15 +189,18 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
         assert all(job.job_id not in jobtracker._job_index.job_pos
                    for job in victims)
 
-    assert checked_run(monkeypatch, run).idle_answers > 0
+    checks = checked_run(monkeypatch, run)
+    assert checks.idle_answers > 0
+    assert checks.skipped_walks > 0
 
 
 def test_shuffle_cell(monkeypatch):
     seed = derive_seed(11000, "shuffle", 15, "kill", 2.5, 0.0, 0)
-    checked_run(monkeypatch, lambda: shuffle_run_once(
+    checks = checked_run(monkeypatch, lambda: shuffle_run_once(
         primitive_name="kill", trackers=15, num_jobs=8,
         oversubscription=2.5, seed=seed, heartbeat_phases=4,
     ))
+    assert checks.skipped_walks > 0
 
 
 @pytest.mark.parametrize(
@@ -230,9 +212,10 @@ def test_memscale_cell(monkeypatch, mode):
     seed = derive_seed(
         12000, "memscale", 15, mode, SWAP_BYTES, RESERVE_BYTES, 0
     )
-    checked_run(monkeypatch, lambda: memscale_run_once(
+    checks = checked_run(monkeypatch, lambda: memscale_run_once(
         mode=mode, trackers=15, num_jobs=8, seed=seed, heartbeat_phases=4,
     ))
+    assert checks.skipped_walks > 0
 
 
 @pytest.mark.parametrize("primitive", ["suspend", "kill"])
@@ -247,32 +230,6 @@ def test_faults_cell(monkeypatch):
     checked_run(monkeypatch, lambda: faults_run_once(
         scenario="node-crash", primitive_name="suspend", seed=7000,
     ))
-
-
-def test_idle_memo_tracks_every_mutable_input():
-    """With no live process the memo key must cover each input that can
-    still move.  In a run an idle node's swap use is always zero (swap
-    is released at reap), so only a direct poke reaches that input."""
-    kernel = NodeKernel(
-        Simulation(seed=1),
-        NodeConfig(ram_bytes=1 * GB, os_reserved_bytes=128 * MB,
-                   swap_bytes=256 * MB, hostname="idle"),
-    )
-    vmm = kernel.vmm
-    first = kernel.memory_headroom()
-    assert kernel.memory_headroom() is first
-    vmm.cache_file_read(64 * MB)
-    assert kernel.memory_headroom() == full_scan_headroom(vmm) != first
-    vmm.swap.page_out(4242, 8 * MB)
-    assert kernel.memory_headroom() == full_scan_headroom(vmm)
-    vmm.swap.release(4242)
-    assert kernel.memory_headroom() == full_scan_headroom(vmm)
-    # A live process disables the memo; its death re-enables it.
-    proc = kernel.spawn("p")
-    kernel.charge_allocation(proc, 32 * MB)
-    assert kernel.memory_headroom() == full_scan_headroom(vmm)
-    proc.die_oom()
-    assert kernel.memory_headroom() == full_scan_headroom(vmm)
 
 
 def one_map_job():
@@ -337,4 +294,102 @@ def test_idle_answer_waits_while_a_tip_is_bound_to_the_host():
     response = jobtracker.heartbeat(tracker.build_report())
     assert response.actions == [
         KillTaskAction(attempt_id=tip.active_attempt_id, reason="preempted")
+    ]
+
+
+def test_tracker_bound_only_to_succeeded_tips_gets_the_idle_answer():
+    """Succeeded tips stay bound to their host (for map-output-loss
+    requeue) but are owed no directive, so they do not stop the idle
+    answer once the index has nothing to offer."""
+    from repro.hadoop.states import TipState
+    from repro.schedulers.hfsp import HfspScheduler
+    from tests.conftest import quick_cluster
+
+    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    jobtracker = cluster.jobtracker
+    cluster.submit_job(one_map_job())
+    cluster.start()
+    cluster.run_until_jobs_complete()
+    # Let the walks after completion repair the index's removal notes.
+    cluster.sim.run(
+        until=cluster.sim.now + 3 * jobtracker.config.heartbeat_interval
+    )
+    (tracker,) = cluster.trackers.values()
+    bound = jobtracker._tips_by_tracker[tracker.host]
+    assert bound
+    assert all(tip.state is TipState.SUCCEEDED for tip in bound.values())
+    assert not tracker._reportable
+    received = jobtracker.heartbeats_received
+    assert jobtracker.answer_idle(tracker)
+    assert jobtracker.heartbeats_received == received + 1
+
+
+def test_busy_tracker_with_a_must_suspend_tip_is_walked():
+    """A busy tracker is skipped while nothing can be offered, until a
+    tip bound to it awaits a directive: that heartbeat walks and
+    carries the suspend."""
+    from repro.hadoop.heartbeat import SuspendTaskAction
+    from repro.schedulers.hfsp import HfspScheduler
+    from tests.conftest import quick_cluster
+
+    cluster = quick_cluster(
+        scheduler=HfspScheduler(), batch_heartbeats=True,
+        run_job_setup_cleanup=False,
+    )
+    jobtracker = cluster.jobtracker
+    index = jobtracker._job_index
+    job = cluster.submit_job(one_map_job())
+    (tip,) = job.tips
+    cluster.start()
+    while (
+        tip.tracker is None
+        or tip.active_attempt_id not in cluster.trackers[tip.tracker]._reportable
+    ):
+        assert cluster.sim.step()
+    tracker = cluster.trackers[tip.tracker]
+    index.refresh_aux()
+    jobtracker.scheduler._index_candidates(index, {})
+    assert jobtracker._walk_is_empty(tracker.host)
+    jobtracker.suspend_task(tip.tip_id)
+    assert not jobtracker._walk_is_empty(tracker.host)
+    response = jobtracker.heartbeat(tracker.build_report())
+    assert response.actions == [
+        SuspendTaskAction(attempt_id=tip.active_attempt_id)
+    ]
+
+
+def test_last_work_tip_success_launches_cleanup_on_the_same_heartbeat():
+    """The predicate is asked after the report is processed: the status
+    that finishes a job's last work tip makes its cleanup tip pending,
+    and that very heartbeat launches it."""
+    from repro.hadoop.heartbeat import LaunchTaskAction
+    from repro.hadoop.states import AttemptState
+    from repro.schedulers.hfsp import HfspScheduler
+    from tests.conftest import quick_cluster
+
+    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    jobtracker = cluster.jobtracker
+    index = jobtracker._job_index
+    job = cluster.submit_job(one_map_job())
+    (tip,) = job.tips
+    cluster.start()
+
+    def finished_unreported():
+        tracker = cluster.trackers.get(tip.tracker or "")
+        attempt = tracker and tracker.attempts.get(tip.active_attempt_id)
+        return attempt is not None and attempt.state is AttemptState.SUCCEEDED
+
+    while not finished_unreported():
+        assert cluster.sim.step()
+    tracker = cluster.trackers[tip.tracker]
+    index.refresh_aux()
+    jobtracker.scheduler._index_candidates(index, {})
+    assert jobtracker._walk_is_empty(tracker.host)
+    response = jobtracker.heartbeat(tracker.build_report())
+    assert response.actions == [
+        LaunchTaskAction(
+            tip_id=job.cleanup_tip.tip_id,
+            attempt_id=job.cleanup_tip.active_attempt_id,
+            is_cleanup=True,
+        )
     ]
