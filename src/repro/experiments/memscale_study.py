@@ -187,13 +187,11 @@ def _run_once(
     collector=None,
     profile: bool = False,
     heartbeat_phases: int = 0,
-    batch_heartbeats: bool = False,
 ) -> Dict[str, float]:
     """One replay cell: pure function of its arguments.
 
     ``trace`` / ``collector`` / ``profile`` are the telemetry hooks,
-    ``heartbeat_phases`` / ``batch_heartbeats`` the batched-dispatch
-    knobs (same contract as
+    ``heartbeat_phases`` the heartbeat grid (same contract as
     :func:`repro.experiments.scale_study._run_once`):
     observation only, pinned by the silence differential suite.
     """
@@ -201,7 +199,6 @@ def _run_once(
         mode, trackers, num_jobs, seed, swap_bytes=swap_bytes,
         reserve_bytes=reserve_bytes, trace=trace, collector=collector,
         profile=profile, heartbeat_phases=heartbeat_phases,
-        batch_heartbeats=batch_heartbeats,
     )
     drive_to_completion(
         cluster, finished, num_jobs,
@@ -223,7 +220,6 @@ def _build_run(
     collector=None,
     profile: bool = False,
     heartbeat_phases: int = 0,
-    batch_heartbeats: bool = False,
 ):
     """Build one fully loaded (but not yet driven) memscale cell;
     returns ``(cluster, completion_counter)`` (see
@@ -234,7 +230,6 @@ def _build_run(
         reduce_slots=1,
         max_suspended_per_tracker=MAX_SUSPENDED_PER_TRACKER,
         heartbeat_phases=heartbeat_phases,
-        batch_heartbeats=batch_heartbeats,
     )
     scheduler = _make_scheduler(mode, reserve_bytes, node_config, hadoop_config)
     racks = max(1, (trackers + HOSTS_PER_RACK - 1) // HOSTS_PER_RACK)

@@ -103,7 +103,6 @@ def _run_once(
     collector=None,
     profile: bool = False,
     heartbeat_phases: int = 0,
-    batch_heartbeats: bool = False,
 ) -> Dict[str, float]:
     """One replay cell: pure function of its arguments.
 
@@ -118,16 +117,12 @@ def _run_once(
     Cell param); ``profile`` turns on the engine's per-label
     attribution and adds its stats under ``"engine"``.
     ``heartbeat_phases`` locks tracker heartbeats onto that many shared
-    phase offsets and ``batch_heartbeats`` answers every heartbeat from
-    the JobTracker's standing job index instead of a rescan; the
-    batched-vs-unbatched differential suites hold runs differing only
-    in ``batch_heartbeats`` digest-identical.
+    phase offsets; 0 keeps the free-drifting stagger.
     """
     cluster, finished = _build_run(
         scenario, primitive_name, trackers, num_jobs, seed,
         admission=admission, trace=trace, collector=collector,
         profile=profile, heartbeat_phases=heartbeat_phases,
-        batch_heartbeats=batch_heartbeats,
     )
     drive_to_completion(
         cluster, finished, num_jobs,
@@ -149,7 +144,6 @@ def _build_run(
     collector=None,
     profile: bool = False,
     heartbeat_phases: int = 0,
-    batch_heartbeats: bool = False,
 ):
     """Build one fully loaded (but not yet driven) replay cell.
 
@@ -176,7 +170,6 @@ def _build_run(
             map_slots=2,
             reduce_slots=1,
             heartbeat_phases=heartbeat_phases,
-            batch_heartbeats=batch_heartbeats,
         ),
         scheduler=scheduler,
         seed=seed,

@@ -81,13 +81,11 @@ def _run_once(
     collector=None,
     profile: bool = False,
     heartbeat_phases: int = 0,
-    batch_heartbeats: bool = False,
 ) -> Dict[str, float]:
     """One replay cell: pure function of its arguments.
 
     ``trace`` / ``collector`` / ``profile`` are the telemetry hooks,
-    ``heartbeat_phases`` / ``batch_heartbeats`` the batched-dispatch
-    knobs (same contract as
+    ``heartbeat_phases`` the heartbeat grid (same contract as
     :func:`repro.experiments.scale_study._run_once`).
     """
     if oversubscription <= 0:
@@ -112,7 +110,6 @@ def _run_once(
             map_slots=2,
             reduce_slots=1,
             heartbeat_phases=heartbeat_phases,
-            batch_heartbeats=batch_heartbeats,
         ),
         scheduler=scheduler,
         seed=seed,

@@ -131,11 +131,6 @@ class HadoopConfig:
     #: so same-phase trackers share each instant forever.  0 keeps the
     #: historical free-drifting stagger.
     heartbeat_phases: int = 0
-    #: let the JobTracker keep one standing job index (candidate list,
-    #: SRPT order, aux list) repaired from job notes, instead of
-    #: rescanning the live jobs on every heartbeat.  Pure caching:
-    #: batched-on == batched-off event-for-event.
-    batch_heartbeats: bool = False
 
     def __post_init__(self) -> None:
         self.validate()

@@ -119,14 +119,14 @@ class HeartbeatResponse:
 
 
 class JobIndex:
-    """The JobTracker's standing index of live jobs (batched dispatch).
+    """The JobTracker's standing index of live jobs.
 
-    When ``HadoopConfig.batch_heartbeats`` is on, the JobTracker owns
-    one of these for the whole run.  It holds what every heartbeat
-    would otherwise rebuild from the live-job set: each live job's
-    submission position, the jobs with a pending setup/cleanup tip in
-    submission order, and -- maintained by the scheduler -- the SRPT
-    sort keys plus the key-ordered list of jobs with schedulable tips.
+    Every JobTracker owns one of these for the whole run.  It holds
+    what every heartbeat would otherwise rebuild from the live-job
+    set: each live job's submission position, the jobs with a pending
+    setup/cleanup tip in submission order, and -- maintained by the
+    scheduler -- the SRPT sort keys plus the key-ordered list of jobs
+    with schedulable tips.
 
     Nothing is rebuilt.  :meth:`add` (submission) and :meth:`remove`
     (completion, failure, kill) change the membership, the jobs'
@@ -138,10 +138,10 @@ class JobIndex:
     The answers are identical to a from-scratch scan of
     :meth:`repro.hadoop.jobtracker.JobTracker.running_jobs`:
     ``tests/test_index_exactness.py`` checks that after every
-    heartbeat, and the differential/property suites in
-    ``tests/test_batched_differential.py`` and
-    ``tests/test_batch_properties.py`` hold whole runs byte-for-byte
-    equal to the unbatched path.
+    heartbeat (``tests/test_batch_properties.py`` over random cells
+    too), and ``tests/test_batched_differential.py`` pins whole-run
+    digests recorded when a rescan path still existed to compare
+    against.
     """
 
     __slots__ = (

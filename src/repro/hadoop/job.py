@@ -10,41 +10,13 @@ makespan numbers.
 from __future__ import annotations
 
 import enum
-from array import array
 from typing import List, Optional
 
 from repro.errors import UnknownTaskError
 from repro.hadoop.counters import Counters
-from repro.hadoop.states import TIP_STATE_CODE, TipState
+from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress, TipRole
 from repro.workloads.jobspec import JobSpec, TaskSpec
-
-#: dense code of the one state the scheduler scans for
-_UNASSIGNED_CODE = TIP_STATE_CODE[TipState.UNASSIGNED]
-
-
-class JobHotArrays:
-    """Array-of-struct hot state for one job's tips.
-
-    The per-heartbeat scheduler loops (remaining-size summation,
-    schedulable-tip scans) read these flat arrays instead of chasing
-    one Python object per tip.  Work tips occupy indices ``0..n-1`` in
-    :attr:`~JobInProgress.tips` order; the setup and cleanup tips (when
-    present) sit at the tail.  The tips themselves write through
-    (:meth:`repro.hadoop.task.TaskInProgress.adopt_hot`), so array and
-    object views never diverge.
-    """
-
-    __slots__ = ("num_work", "progress", "full_seconds", "state_codes",
-                 "trackers")
-
-    def __init__(self, num_work: int, total: int):
-        self.num_work = num_work
-        self.progress = array("d", bytes(8 * total))
-        self.full_seconds = array("d", bytes(8 * total))
-        self.state_codes = array("B", bytes(total))
-        self.trackers: List[Optional[str]] = [None] * total
-
 
 class JobState(enum.Enum):
     """Job lifecycle states (Hadoop 1 vocabulary)."""
@@ -100,14 +72,6 @@ class JobInProgress:
             )
         else:
             self.state = JobState.RUNNING
-        hot_tips = self.tips + [
-            t for t in (self.setup_tip, self.cleanup_tip) if t is not None
-        ]
-        #: shared flat arrays the scheduler hot loops read; tips write
-        #: through, so the arrays mirror the object graph exactly
-        self.hot = JobHotArrays(len(self.tips), len(hot_tips))
-        for hot_index, tip in enumerate(hot_tips):
-            tip.adopt_hot(self.hot, hot_index)
         #: callback(job, kind) fired on hot-state changes -- kind
         #: ``"size"`` when a tip's progress moved (the SRPT sort key is
         #: stale), ``"sched"`` when the has-schedulable-tips verdict may
@@ -237,16 +201,13 @@ class JobInProgress:
         """Serial seconds of work left across all tips (size-based
         schedulers read this on every heartbeat for every live job)."""
         if self._remaining_dirty:
-            # Flat-array scan in tips order: identical floats in the
-            # identical summation order as the historical per-object
-            # loop, so cached values stay bit-identical to a fresh one.
+            # Always summed in tips order, so cached values stay
+            # bit-identical to a fresh scan.
             remaining = 0.0
-            progress = self.hot.progress
-            full = self.hot.full_seconds
-            for i in range(self.hot.num_work):
-                p = progress[i]
+            for tip in self.tips:
+                p = tip.progress
                 if p < 1.0:
-                    remaining += full[i] * (1.0 - p)
+                    remaining += tip.full_seconds * (1.0 - p)
             self._remaining_work = remaining
             self._remaining_dirty = False
         return self._remaining_work
@@ -265,12 +226,8 @@ class JobInProgress:
             return []
         tips = self._schedulable_cache
         if tips is None:
-            codes = self.hot.state_codes
-            work = self.tips
             tips = self._schedulable_cache = [
-                work[i]
-                for i in range(self.hot.num_work)
-                if codes[i] == _UNASSIGNED_CODE
+                tip for tip in self.tips if tip.state is TipState.UNASSIGNED
             ]
         return tips
 
@@ -282,8 +239,7 @@ class JobInProgress:
         """Mean progress over work tips."""
         if not self.tips:
             return 1.0
-        progress = self.hot.progress
-        return sum(progress[i] for i in range(self.hot.num_work)) / len(self.tips)
+        return sum(tip.progress for tip in self.tips) / len(self.tips)
 
     # -- lifecycle events -------------------------------------------------------
 

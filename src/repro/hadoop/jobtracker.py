@@ -116,11 +116,9 @@ class JobTracker:
         self.speculator: Optional[SpeculativeExecutor] = None
         if config.speculative_execution:
             self.speculator = SpeculativeExecutor(self)
-        #: standing live-job index every heartbeat consults
-        #: (config.batch_heartbeats); None when batching is off
-        self._job_index: Optional[JobIndex] = (
-            JobIndex() if config.batch_heartbeats else None
-        )
+        #: standing live-job index every heartbeat consults (the aux
+        #: list here, the SRPT candidate order in HFSP)
+        self.job_index = JobIndex()
         self._expiry_event = None
         scheduler.bind(self)
 
@@ -150,9 +148,8 @@ class JobTracker:
         )
         self.jobs[job_id] = job
         self._live_jobs[job_id] = job
-        if self._job_index is not None:
-            self._job_index.add(job)
-            job.observer = self._job_index.note
+        self.job_index.add(job)
+        job.observer = self.job_index.note
         for tip in job.all_tips():
             self._tips[tip.tip_id] = tip
             tip.tracker_observer = self._on_tip_tracker_change
@@ -179,8 +176,7 @@ class JobTracker:
         job.kill(self.sim.now)
         # kill() does not route through _announce_completion, so the
         # job leaves the index here.
-        if self._job_index is not None:
-            self._job_index.remove(job)
+        self.job_index.remove(job)
         for tip in job.all_tips():
             if tip.state.active and tip.state is not TipState.MUST_KILL:
                 try:
@@ -407,7 +403,6 @@ class JobTracker:
     def _walk(self, report: HeartbeatReport) -> HeartbeatResponse:
         """Directives, aux launches, the scheduler and the speculator,
         over an already-processed report."""
-        index = self._job_index
         actions: List[TrackerAction] = []
         free_map = report.free_map_slots
         free_reduce = report.free_reduce_slots
@@ -426,20 +421,15 @@ class JobTracker:
 
         # 2. Job setup/cleanup launches (Hadoop runs them outside the
         #    pluggable scheduler).
-        free_map = self._aux_launches(report, actions, free_map, index)
+        free_map = self._aux_launches(report, actions, free_map)
 
         # 3. Pluggable scheduler fills the remaining slots.  Guard
         #    against scheduler bugs: drop duplicates and tips that are
         #    no longer schedulable.
         seen = set()
-        if index is not None and getattr(self.scheduler, "uses_job_index", False):
-            assigned = self.scheduler.assign_tasks(
-                report.tracker, free_map, free_reduce, index=index
-            )
-        else:
-            assigned = self.scheduler.assign_tasks(
-                report.tracker, free_map, free_reduce
-            )
+        assigned = self.scheduler.assign_tasks(
+            report.tracker, free_map, free_reduce
+        )
         for tip in assigned:
             if tip.tip_id in seen or not tip.schedulable:
                 continue
@@ -502,16 +492,15 @@ class JobTracker:
 
     def _walk_is_empty(self, host: str) -> bool:
         """True only when a walk for ``host`` provably returns no
-        action: the standing index is on, no job has a pending (or
-        possibly pending) setup/cleanup tip, no speculator could book
-        a backup, the scheduler has nothing it could offer, and no tip
-        bound to the host awaits a directive.  Only reads state, so a
-        later walk repairs the same notes to the same result.
+        action: no job has a pending (or possibly pending)
+        setup/cleanup tip, no speculator could book a backup, the
+        scheduler has nothing it could offer, and no tip bound to the
+        host awaits a directive.  Only reads state, so a later walk
+        repairs the same notes to the same result.
         """
-        index = self._job_index
+        index = self.job_index
         if (
-            index is None
-            or index.aux_dirty
+            index.aux_dirty
             or index.aux_jobs
             or self.speculator is not None
             or self.scheduler.may_offer(index)
@@ -751,17 +740,11 @@ class JobTracker:
         self.scheduler.job_updated(job)
 
     def _maybe_complete_job(self, job: JobInProgress) -> None:
-        if job.cleanup_tip is None:
-            # No cleanup phase: the job finishes with its last tip.
-            if job.maybe_finish(self.sim.now):
-                self._announce_completion(job)
-        else:
-            if job.maybe_finish(self.sim.now):
-                self._announce_completion(job)
+        if job.maybe_finish(self.sim.now):
+            self._announce_completion(job)
 
     def _announce_completion(self, job: JobInProgress) -> None:
-        if self._job_index is not None:
-            self._job_index.remove(job)
+        self.job_index.remove(job)
         self.trace("jt.job-done", job=job.job_id, name=job.spec.name)
         self.scheduler.job_completed(job)
         for callback in self._completion_callbacks:
@@ -839,29 +822,18 @@ class JobTracker:
         report: HeartbeatReport,
         actions: List[TrackerAction],
         free_map: int,
-        index: Optional[JobIndex] = None,
     ) -> int:
-        """Launch job setup/cleanup tasks (highest priority)."""
+        """Launch job setup/cleanup tasks (highest priority).
+
+        Walks only the jobs with a pending aux tip, kept in submission
+        order by the standing index.  The verdict is re-read per job,
+        since the list itself is only repaired at the start of a walk.
+        """
         if free_map <= 0:
-            # The loop below breaks before its first launch check; skip
-            # the live-job scan (most heartbeats on a busy cluster).
             return free_map
-        if index is not None:
-            # Batched path: walk only the jobs with a pending aux tip,
-            # kept in submission order by the standing index.  The
-            # live re-check per job mirrors the historical loop (a job
-            # launched earlier in this very walk answers None and is
-            # skipped, exactly as the full scan would skip it).
-            index.refresh_aux()
-            for job in index.aux_jobs:
-                if free_map <= 0:
-                    break
-                aux_tip = job.pending_aux_tip()
-                if aux_tip is not None:
-                    actions.append(self._make_launch(aux_tip, report.tracker))
-                    free_map -= 1
-            return free_map
-        for job in self.running_jobs():
+        index = self.job_index
+        index.refresh_aux()
+        for job in index.aux_jobs:
             if free_map <= 0:
                 break
             aux_tip = job.pending_aux_tip()
@@ -921,8 +893,8 @@ class JobTracker:
         """
         # ``finish_time`` is stamped by exactly the transitions that
         # make a job terminal, and the attribute test is far cheaper
-        # than enum membership at this call frequency (twice per
-        # heartbeat over every live job).
+        # than enum membership for the callers that scan every live
+        # job per walk (the non-HFSP schedulers and the speculator).
         finished = [
             job_id
             for job_id, job in self._live_jobs.items()

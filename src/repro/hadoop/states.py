@@ -56,15 +56,6 @@ class TipState(enum.Enum):
         )
 
 
-#: dense integer codes for the array-of-struct hot layouts: the
-#: scheduler's per-heartbeat scans read TIP state out of a byte array
-#: (`JobInProgress.hot`) instead of chasing the object graph.  Codes
-#: follow enum declaration order, so they are stable across runs.
-TIP_STATE_CODES = tuple(TipState)
-TIP_STATE_CODE: Dict[TipState, int] = {
-    state: code for code, state in enumerate(TIP_STATE_CODES)
-}
-
 #: Legal TipState transitions; the JobTracker enforces these, and the
 #: property-based tests fire random command sequences to verify no
 #: illegal edge is ever taken.

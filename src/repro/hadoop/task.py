@@ -12,7 +12,7 @@ import enum
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.errors import TaskStateError
-from repro.hadoop.states import TIP_STATE_CODE, TipState, check_tip_transition
+from repro.hadoop.states import TipState, check_tip_transition
 from repro.workloads.jobspec import TaskKind, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,8 +45,6 @@ class TaskInProgress:
         "full_seconds",
         "tip_id",
         "state",
-        "hot",
-        "hot_index",
         "_tracker",
         "tracker_observer",
         "active_attempt_id",
@@ -87,12 +85,6 @@ class TaskInProgress:
         self.full_seconds = spec.input_bytes / spec.parse_rate
         self.tip_id = f"task_{job.job_id}_{role.value}_{index:06d}"
         self.state = TipState.UNASSIGNED
-        #: array-of-struct backing shared with the sibling tips of the
-        #: job (:class:`repro.hadoop.job.JobHotArrays`); None until the
-        #: owning job adopts the tip (standalone tips in unit tests
-        #: keep the per-object fallback fields)
-        self.hot = None
-        self.hot_index = -1
         self._tracker: Optional[str] = None
         #: callback(tip, old_host, new_host) fired on every tracker
         #: (re)binding; the JobTracker uses it to keep its per-tracker
@@ -132,22 +124,6 @@ class TaskInProgress:
         #: accepts any slot (see TaskScheduler.locality knob)
         self.locality_skipped_at: Optional[float] = None
 
-    # -- array-of-struct adoption ------------------------------------------------
-
-    def adopt_hot(self, hot, index: int) -> None:
-        """Move this tip's hot fields into the job's shared arrays.
-
-        Called once by the owning job right after construction; the
-        arrays become the source of truth for progress, state code and
-        tracker binding, and the per-object fields mirror them.
-        """
-        self.hot = hot
-        self.hot_index = index
-        hot.progress[index] = self._progress
-        hot.full_seconds[index] = self.full_seconds
-        hot.state_codes[index] = TIP_STATE_CODE[self.state]
-        hot.trackers[index] = self._tracker
-
     # -- tracker binding --------------------------------------------------------
 
     @property
@@ -161,8 +137,6 @@ class TaskInProgress:
         if host == old:
             return
         self._tracker = host
-        if self.hot is not None:
-            self.hot.trackers[self.hot_index] = host
         if self.tracker_observer is not None:
             self.tracker_observer(self, old, host)
 
@@ -171,18 +145,13 @@ class TaskInProgress:
     @property
     def progress(self) -> float:
         """Fraction of the task body completed (last reported)."""
-        if self.hot is not None:
-            return self.hot.progress[self.hot_index]
         return self._progress
 
     @progress.setter
     def progress(self, value: float) -> None:
         # Route through the job so its cached remaining-size aggregate
         # (the HFSP per-heartbeat sort key) knows to recompute.
-        if self.hot is not None:
-            self.hot.progress[self.hot_index] = value
-        else:
-            self._progress = value
+        self._progress = value
         self.job.note_tip_progress()
 
     # -- state machine ----------------------------------------------------------
@@ -192,8 +161,6 @@ class TaskInProgress:
         check_tip_transition(self.state, new)
         old = self.state
         self.state = new
-        if self.hot is not None:
-            self.hot.state_codes[self.hot_index] = TIP_STATE_CODE[new]
         self.job.note_tip_state_changed(old, new, self)
 
     @property

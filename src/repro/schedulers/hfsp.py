@@ -20,7 +20,7 @@ nothing).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import NotPreemptibleError
 from repro.hadoop.heartbeat import JobIndex
@@ -31,12 +31,12 @@ from repro.schedulers.base import TaskScheduler
 
 
 class HfspScheduler(TaskScheduler):
-    """Shortest-remaining-size-first with preemption."""
+    """Shortest-remaining-size-first with preemption.
 
-    #: the JobTracker passes its standing :class:`JobIndex` to
-    #: :meth:`assign_tasks`, which keeps the SRPT order in it across
-    #: heartbeats instead of re-sorting on every one
-    uses_job_index = True
+    The SRPT order lives in the bound JobTracker's standing
+    :class:`JobIndex`, kept across heartbeats instead of re-sorted on
+    every one.
+    """
 
     def __init__(
         self,
@@ -88,13 +88,6 @@ class HfspScheduler(TaskScheduler):
         """
         return job.remaining_work_seconds()
 
-    def ordered_jobs(self) -> List[JobInProgress]:
-        """Smallest remaining size first."""
-        return sorted(
-            self._candidate_jobs(),
-            key=lambda job: (self.remaining_size(job), job.submit_time, job.job_id),
-        )
-
     # -- assignment ------------------------------------------------------------------
 
     def assign_tasks(
@@ -102,7 +95,6 @@ class HfspScheduler(TaskScheduler):
         tracker: str,
         free_map_slots: int,
         free_reduce_slots: int,
-        index: Optional[JobIndex] = None,
     ) -> List[TaskInProgress]:
         if free_map_slots <= 0 and free_reduce_slots <= 0:
             # Saturated tracker: the job loop below would break on its
@@ -111,28 +103,13 @@ class HfspScheduler(TaskScheduler):
             # loaded cluster this is the common case for every heartbeat.
             return []
         suspended_here = self._suspended_on(tracker)
-        if index is not None:
-            # Batched path: the standing SRPT order, repaired from the
-            # jobs' size/sched notes, so each walk visits only the jobs
-            # with schedulable tips (merged with this tracker's
-            # suspended jobs) instead of re-filtering and re-sorting
-            # the whole live-job set per heartbeat.
-            candidates = self._index_candidates(index, suspended_here)
-        else:
-            # Only jobs that can absorb this tracker's slots matter: a
-            # job with neither schedulable tips nor suspended tips here
-            # is a no-op in the loop, so leaving it out of the SRPT sort
-            # changes nothing -- and on steady-state replays the
-            # overwhelming majority of live jobs are fully launched and
-            # drop out here.
-            candidates = [
-                job
-                for job in self._candidate_jobs()
-                if job.job_id in suspended_here or job.schedulable_tips()
-            ]
-            candidates.sort(
-                key=lambda job: (self.remaining_size(job), job.submit_time, job.job_id)
-            )
+        # The standing SRPT order, repaired from the jobs' size/sched
+        # notes: each walk visits only the jobs with schedulable tips,
+        # merged with this tracker's suspended jobs.  A job with
+        # neither is a no-op in the loop below.
+        candidates = self._index_candidates(
+            self.jobtracker.job_index, suspended_here
+        )
         assigned: List[TaskInProgress] = []
         for job in candidates:
             if free_map_slots <= 0 and free_reduce_slots <= 0:
@@ -190,10 +167,10 @@ class HfspScheduler(TaskScheduler):
         are re-keyed and repositioned (a job new to the index gets its
         first key, a job gone from it loses key and candidacy), then
         jobs whose sched notes fired enter or leave the candidates.
-        The result matches the historical filter-then-sort exactly:
-        same job set (candidacy verdicts are repaired from the same
-        transitions the historical filter reads), same strict key
-        order.
+        The result matches a from-scratch filter-then-sort of
+        :meth:`~repro.hadoop.jobtracker.JobTracker.running_jobs`
+        exactly: same job set (candidacy verdicts are repaired from the
+        same transitions the filter reads), same strict key order.
         """
         key_of, cand_ids = index.key_of, index.cand_ids
         if index.size_dirty:
@@ -237,8 +214,7 @@ class HfspScheduler(TaskScheduler):
                 continue
             key = key_of.get(job_id)
             if key is None:
-                continue  # not a running job: the historical filter
-                # (running_jobs-based) excludes it too
+                continue  # not a running job
             extras.append((key, tips[0].job))
         if not extras:
             return jobs

@@ -161,7 +161,7 @@ MEMORY_HEAVY_CLASSES: List[SwimJobClass] = [
 #: 300-600 s each).  Arrivals outpace completions for most of the
 #: replay, so the cluster holds its whole workload live at once --
 #: hundreds of concurrent jobs for the JobTracker to scan per
-#: heartbeat.  This is the regime the batched heartbeat dispatch
+#: heartbeat.  This is the regime the JobTracker's standing job index
 #: amortizes, and the mix bench_guard's 2000/5000-tracker scale cells
 #: replay.
 STEADY_CLASSES: List[SwimJobClass] = [

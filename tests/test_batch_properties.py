@@ -1,4 +1,4 @@
-"""Property suite for batched heartbeat dispatch (Hypothesis).
+"""Property suite for heartbeat dispatch (Hypothesis).
 
 Three layers of invariants, each randomized over its whole input
 space rather than pinned to a handful of seeds:
@@ -6,17 +6,14 @@ space rather than pinned to a handful of seeds:
 * **engine FIFO** -- for any script of schedule times, events fire
   in timestamp order with FIFO order *within* a timestamp pinned to
   insertion order;
-* **structure-of-arrays coherence** -- stop a live replay cell at an
-  arbitrary mid-flight instant: every TIP's object view (state,
-  tracker binding, full seconds) must agree with its slot in the
-  job's :class:`~repro.hadoop.job.JobHotArrays`, and the cached
-  remaining-work/schedulable/pending-aux aggregates must equal a
-  from-scratch recompute;
-* **dispatch fold** -- for any small workload (seed, scenario,
-  primitive, phase count), the batched and unbatched runs produce
-  identical TraceLog digests: heartbeats answered from the standing
-  job index, repaired from job notes, answer exactly like heartbeats
-  handled one rebuild at a time.
+* **cache coherence** -- stop a live replay cell at an arbitrary
+  mid-flight instant: each job's cached remaining-work, schedulable
+  and pending-aux views must equal a from-scratch recompute;
+* **index exactness** -- for any small workload (seed, scenario,
+  primitive, phase count), the standing job index, repaired from job
+  notes, equals a from-scratch build after every heartbeat, and every
+  walk a heartbeat skipped returns no action (the checks of
+  ``tests/test_index_exactness.py``).
 """
 
 import pytest
@@ -27,8 +24,9 @@ from repro.experiments.runner import derive_seed
 from repro.experiments.scale_study import _build_run
 from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.hadoop.job import JobState
-from repro.hadoop.states import TIP_STATE_CODE, TipState
+from repro.hadoop.states import TipState
 from repro.sim.engine import Simulation
+from tests.test_index_exactness import checked_run
 
 # -- engine FIFO ----------------------------------------------------------------
 
@@ -74,24 +72,16 @@ def test_engine_fifo_within_timestamp_follows_insertion_order(script, data):
         ]
 
 
-# -- structure-of-arrays coherence --------------------------------------------
+# -- cache coherence ------------------------------------------------------------
 
 
 def _assert_job_coherent(job):
-    hot = job.hot
-    for tip in job.all_tips():
-        assert tip.hot is hot and tip.hot_index >= 0
-        slot = tip.hot_index
-        assert hot.state_codes[slot] == TIP_STATE_CODE[tip.state]
-        assert hot.trackers[slot] == tip.tracker
-        assert hot.full_seconds[slot] == tip.full_seconds
     # Cached aggregates == from-scratch recompute (identical floats:
     # the cache fills via the same summation order as this loop).
     remaining = 0.0
-    for i in range(hot.num_work):
-        p = hot.progress[i]
-        if p < 1.0:
-            remaining += hot.full_seconds[i] * (1.0 - p)
+    for tip in job.tips:
+        if tip.progress < 1.0:
+            remaining += tip.full_seconds * (1.0 - tip.progress)
     assert job.remaining_work_seconds() == remaining
     expect_schedulable = (
         [tip for tip in job.tips if tip.state is TipState.UNASSIGNED]
@@ -122,18 +112,18 @@ def _assert_job_coherent(job):
     scenario=st.sampled_from(["baseline", "steady"]),
     phases=st.sampled_from([0, 2]),
 )
-def test_soa_views_coherent_mid_flight(seed_salt, stop_at, scenario, phases):
+def test_cached_views_coherent_mid_flight(seed_salt, stop_at, scenario, phases):
     cluster, _ = _build_run(
         scenario, "suspend", 8, 6,
         derive_seed(9000, "scale", scenario, 8, "suspend", seed_salt),
-        heartbeat_phases=phases, batch_heartbeats=True,
+        heartbeat_phases=phases,
     )
     cluster.sim.run(until=stop_at)
     for job in cluster.jobtracker.jobs.values():
         _assert_job_coherent(job)
 
 
-# -- dispatch fold ------------------------------------------------------------
+# -- index exactness ----------------------------------------------------------
 
 
 @pytest.mark.integration
@@ -148,17 +138,11 @@ def test_soa_views_coherent_mid_flight(seed_salt, stop_at, scenario, phases):
     primitive=st.sampled_from(["wait", "kill", "suspend"]),
     phases=st.sampled_from([0, 1, 4]),
 )
-def test_batched_fold_matches_unbatched(seed_salt, scenario, primitive,
-                                        phases):
+def test_index_exact_on_random_cells(seed_salt, scenario, primitive, phases):
     seed = derive_seed(9000, "scale", scenario, 6, primitive, seed_salt)
-
-    def run(batched):
-        return scale_run_once(
-            scenario=scenario, primitive_name=primitive, trackers=6,
-            num_jobs=5, seed=seed, trace=True,
-            heartbeat_phases=phases, batch_heartbeats=batched,
-        )
-
-    batched, unbatched = run(True), run(False)
-    assert batched["trace_digest"] == unbatched["trace_digest"]
-    assert batched["sketch"] == unbatched["sketch"]
+    # A fresh MonkeyPatch per example: Hypothesis reruns the body, and
+    # the function-scoped fixture would be shared across the examples.
+    checked_run(pytest.MonkeyPatch(), lambda: scale_run_once(
+        scenario=scenario, primitive_name=primitive, trackers=6,
+        num_jobs=5, seed=seed, heartbeat_phases=phases,
+    ))

@@ -205,6 +205,33 @@ class TestBenchGuard:
         assert warnings and "c: wall" in warnings[0]
         assert "advisory" in warnings[0]
 
+    def test_sketch_digest_drift_fails(self):
+        guard = self._load_guard()
+        baseline = {"cell": {"wall_s": 1.0, "events": 10, "engine_ops": 0,
+                             "sketch_digest": "aaaa"}}
+        current = {"cell": dict(baseline["cell"], sketch_digest="bbbb")}
+        problems, _ = guard.check(current, baseline)
+        assert problems and "sketch digest" in problems[0]
+
+    def test_wall_gated_bench_fails_past_its_bound_at_full_scale(self):
+        guard = self._load_guard()
+        baseline = {
+            "a": {"wall_s": 1.0, "events": 10, "engine_ops": 0},
+            "b": {"wall_s": 2.0, "events": 10, "engine_ops": 0},
+            "scale_2000": {"wall_s": 4.0, "events": 10, "engine_ops": 0},
+        }
+        current = {name: dict(vals) for name, vals in baseline.items()}
+        current["scale_2000"]["wall_s"] = 4.0 * guard.MAX_WALL_RATIO * 1.1
+        problems, _ = guard.check(current, baseline, gate_walls=True)
+        assert problems and "scale_2000: wall" in problems[0]
+        # Below full scale the same drift only warns.
+        problems, warnings = guard.check(current, baseline)
+        assert problems == [] and "scale_2000: wall" in warnings[0]
+        # Within the bound it only warns at full scale too.
+        current["scale_2000"]["wall_s"] = 4.0 * 2.0
+        problems, warnings = guard.check(current, baseline, gate_walls=True)
+        assert problems == [] and "scale_2000: wall" in warnings[0]
+
     def test_wall_only_regression_exits_zero(self, tmp_path):
         # End to end: a baseline whose walls are wildly off for this
         # host (as checked-in baselines are on foreign machines) still

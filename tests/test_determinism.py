@@ -151,12 +151,12 @@ class TestScaleDeterminism:
 
 
 class TestScale2000GoldenTrace:
-    """The batched-dispatch acceptance cell (2000 trackers, steady
-    mix, phase-locked heartbeats, batching on) obeys the same golden-
-    trace contract as every small cell: repeatable digests, byte-
-    identical sharding over 4 workers, and checkpoint/resume replay
-    identity -- at the scale where the standing job index answers
-    thousands of heartbeats between membership changes."""
+    """The 2000-tracker cell (steady mix, phase-locked heartbeats)
+    obeys the same golden-trace contract as every small cell:
+    repeatable digests, byte-identical sharding over 4 workers, and
+    checkpoint/resume replay identity -- at the scale where the
+    standing job index answers thousands of heartbeats between
+    membership changes."""
 
     @staticmethod
     def _cell_kwargs(seed_salt):
@@ -167,7 +167,7 @@ class TestScale2000GoldenTrace:
             num_jobs=30,
             seed=derive_seed(9000, "scale", "steady", 2000, "suspend",
                              seed_salt),
-            trace=True, heartbeat_phases=4, batch_heartbeats=True,
+            trace=True, heartbeat_phases=4,
         )
 
     @pytest.mark.slow
@@ -196,7 +196,6 @@ class TestScale2000GoldenTrace:
             kwargs["scenario"], kwargs["primitive_name"],
             kwargs["trackers"], kwargs["num_jobs"], kwargs["seed"],
             trace=True, heartbeat_phases=kwargs["heartbeat_phases"],
-            batch_heartbeats=kwargs["batch_heartbeats"],
         )
         meta = {
             "kind": "scale", "scenario": kwargs["scenario"],

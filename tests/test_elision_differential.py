@@ -6,8 +6,7 @@ report gets an idle answer -- no report, no JobTracker walk -- when
 the JobTracker has nothing it could offer.  The old heartbeat (kept
 verbatim in :mod:`tests.legacy_heartbeat`) built a report, walked and
 delivered every response, empty ones included.  For every experiment
-family, run with the standing job index on (the idle answer needs
-it) on both sides, the two must agree on the science, exactly:
+family the two must agree on the science, exactly:
 
 * the science digest (every domain record, bit for bit);
 * job submit and completion times, job by job;
@@ -23,8 +22,6 @@ Why it holds: an empty delivery's callback iterates an empty list, so
 it changes no state; the engine fires in ``(time, seq)`` order, where
 removing events never swaps two others; and an idle answer fires at
 the same instant as the walk it replaces, whose result was empty.
-The drifting-heartbeat cell keeps the index off, so the unindexed
-walk stays covered too.
 """
 
 import pytest
@@ -39,7 +36,6 @@ from repro.experiments.runner import derive_seed
 from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.cluster import HadoopCluster
-from repro.hadoop.jobtracker import JobTracker
 from repro.hadoop.tasktracker import TaskTracker
 from tests.legacy_heartbeat import legacy_heartbeat
 
@@ -58,15 +54,13 @@ class Run:
                 if rec.engine and id(rec) not in self.empty_deliveries]
 
 
-def traced_run(monkeypatch, fn, legacy, indexed):
+def traced_run(monkeypatch, fn, legacy):
     """``fn()`` with every cluster's trace log on; ``legacy`` installs
-    the old heartbeat and notes each empty delivery as it fires;
-    ``indexed`` forces the standing job index on."""
+    the old heartbeat and notes each empty delivery as it fires."""
     clusters = []
     empty = set()
     build = HadoopCluster.__init__
     execute = TaskTracker._execute_actions
-    init = JobTracker.__init__
 
     def build_traced(self, *args, **kwargs):
         kwargs["trace"] = True
@@ -81,13 +75,8 @@ def traced_run(monkeypatch, fn, legacy, indexed):
             empty.add(id(delivery))
         execute(self, actions)
 
-    def indexed_init(self, sim, config, scheduler):
-        init(self, sim, config.replace(batch_heartbeats=True), scheduler)
-
     with monkeypatch.context() as patch:
         patch.setattr(HadoopCluster, "__init__", build_traced)
-        if indexed:
-            patch.setattr(JobTracker, "__init__", indexed_init)
         if legacy:
             patch.setattr(TaskTracker, "_heartbeat", legacy_heartbeat)
             patch.setattr(TaskTracker, "_execute_actions", noting_execute)
@@ -116,9 +105,9 @@ def jobs(cluster):
             for job in cluster.jobtracker.jobs.values()}
 
 
-def assert_elision_equivalent(monkeypatch, fn, indexed=True):
-    old = traced_run(monkeypatch, fn, legacy=True, indexed=indexed)
-    new = traced_run(monkeypatch, fn, legacy=False, indexed=indexed)
+def assert_elision_equivalent(monkeypatch, fn):
+    old = traced_run(monkeypatch, fn, legacy=True)
+    new = traced_run(monkeypatch, fn, legacy=False)
     assert without_events(new.result) == without_events(old.result)
     assert len(new.clusters) == len(old.clusters) >= 1
     elided = 0
@@ -144,7 +133,6 @@ def test_scale_cell(monkeypatch, scenario):
     assert_elision_equivalent(monkeypatch, lambda: scale_run_once(
         scenario=scenario, primitive_name="suspend", trackers=15,
         num_jobs=10, seed=seed, trace=True, heartbeat_phases=4,
-        batch_heartbeats=True,
     ))
 
 
@@ -155,7 +143,7 @@ def test_scale_cell_drifting_heartbeats(monkeypatch):
     assert_elision_equivalent(monkeypatch, lambda: scale_run_once(
         scenario="baseline", primitive_name="kill", trackers=15,
         num_jobs=10, seed=seed, trace=True,
-    ), indexed=False)
+    ))
 
 
 def test_shuffle_cell(monkeypatch):

@@ -28,8 +28,9 @@ repairs read only cached, pure job views.  The idle shadow leaves the
 tracker's sequence number as the idle answer left it.
 
 Every experiment family of ``tests/test_elision_differential.py`` is
-covered, with the standing index forced on where the study leaves
-``batch_heartbeats`` off, plus a scale cell that kills jobs mid-run.
+covered, in the studies' own configuration, plus a scale cell that
+kills jobs mid-run.  ``tests/test_batch_properties.py`` runs the same
+checks over random scale cells.
 """
 
 import pytest
@@ -42,6 +43,7 @@ from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.jobtracker import JobTracker
+from repro.schedulers.hfsp import HfspScheduler
 from repro.units import MB
 
 
@@ -64,7 +66,7 @@ def repaired_copy(index):
 def assert_index_exact(jobtracker):
     """The standing index, repaired now (as a copy), equals a
     from-scratch build."""
-    index = repaired_copy(jobtracker._job_index)
+    index = repaired_copy(jobtracker.job_index)
     running = jobtracker.running_jobs()
     ids = [job.job_id for job in running]
     assert list(index.job_pos) == ids
@@ -73,7 +75,7 @@ def assert_index_exact(jobtracker):
         job for job in running if job.pending_aux_tip() is not None
     ]
     scheduler = jobtracker.scheduler
-    if getattr(scheduler, "uses_job_index", False):
+    if isinstance(scheduler, HfspScheduler):
         walked = scheduler._index_candidates(index, {})
         expected = sorted(
             (job for job in running if job.schedulable_tips()), key=srpt_key
@@ -99,7 +101,6 @@ def checked_run(monkeypatch, fn):
     heartbeat = JobTracker.heartbeat
     walk = JobTracker._walk
     answer_idle = JobTracker.answer_idle
-    init = JobTracker.__init__
 
     def counted_walk(self, report):
         checks.walks += 1
@@ -132,14 +133,10 @@ def checked_run(monkeypatch, fn):
         checks.idle_answers += 1
         return True
 
-    def indexed_init(self, sim, config, scheduler):
-        init(self, sim, config.replace(batch_heartbeats=True), scheduler)
-
     with monkeypatch.context() as patch:
         patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
         patch.setattr(JobTracker, "_walk", counted_walk)
         patch.setattr(JobTracker, "answer_idle", checked_answer_idle)
-        patch.setattr(JobTracker, "__init__", indexed_init)
         fn()
     assert checks.heartbeats > 0
     return checks
@@ -150,7 +147,7 @@ def test_scale_cell(monkeypatch, scenario):
     seed = derive_seed(9000, "scale", scenario, 15, "suspend", 0)
     checks = checked_run(monkeypatch, lambda: scale_run_once(
         scenario=scenario, primitive_name="suspend", trackers=15,
-        num_jobs=10, seed=seed, heartbeat_phases=4, batch_heartbeats=True,
+        num_jobs=10, seed=seed, heartbeat_phases=4,
     ))
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
@@ -174,7 +171,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
         seed = derive_seed(9000, "scale", "steady", 8, "suspend", 0)
         cluster, _ = _build_run(
             "steady", "suspend", 8, 10, seed,
-            heartbeat_phases=4, batch_heartbeats=True,
+            heartbeat_phases=4,
         )
         jobtracker = cluster.jobtracker
         cluster.start()
@@ -186,7 +183,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
         for job in victims:
             jobtracker.kill_job(job.job_id)
         cluster.sim.run(until=900.0)
-        assert all(job.job_id not in jobtracker._job_index.job_pos
+        assert all(job.job_id not in jobtracker.job_index.job_pos
                    for job in victims)
 
     checks = checked_run(monkeypatch, run)
@@ -245,7 +242,6 @@ def test_node_loss_requeue_reaches_an_idle_tracker(monkeypatch):
     Its pending candidacy note must stop the next idle answer, or the
     idle survivor would never be offered the task."""
     from repro.hadoop.job import JobState
-    from repro.schedulers.hfsp import HfspScheduler
     from tests.conftest import quick_cluster
 
     def run():
@@ -273,10 +269,9 @@ def test_idle_answer_waits_while_a_tip_is_bound_to_the_host():
     offer.  Here the tip is killed while its launch is on the wire:
     the tracker holds no attempt yet, but the walk must send the kill."""
     from repro.hadoop.heartbeat import KillTaskAction
-    from repro.schedulers.hfsp import HfspScheduler
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    cluster = quick_cluster(scheduler=HfspScheduler())
     jobtracker = cluster.jobtracker
     job = cluster.submit_job(one_map_job())
     (tip,) = job.tips
@@ -286,8 +281,8 @@ def test_idle_answer_waits_while_a_tip_is_bound_to_the_host():
     tracker = cluster.trackers[tip.tracker]
     assert not tracker._reportable  # the launch has not landed
     jobtracker.kill_task(tip.tip_id)
-    jobtracker.scheduler._index_candidates(jobtracker._job_index, {})
-    assert not jobtracker.scheduler.may_offer(jobtracker._job_index)
+    jobtracker.scheduler._index_candidates(jobtracker.job_index, {})
+    assert not jobtracker.scheduler.may_offer(jobtracker.job_index)
     received = jobtracker.heartbeats_received
     assert not jobtracker.answer_idle(tracker)
     assert jobtracker.heartbeats_received == received
@@ -302,10 +297,9 @@ def test_tracker_bound_only_to_succeeded_tips_gets_the_idle_answer():
     requeue) but are owed no directive, so they do not stop the idle
     answer once the index has nothing to offer."""
     from repro.hadoop.states import TipState
-    from repro.schedulers.hfsp import HfspScheduler
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    cluster = quick_cluster(scheduler=HfspScheduler())
     jobtracker = cluster.jobtracker
     cluster.submit_job(one_map_job())
     cluster.start()
@@ -329,15 +323,13 @@ def test_busy_tracker_with_a_must_suspend_tip_is_walked():
     tip bound to it awaits a directive: that heartbeat walks and
     carries the suspend."""
     from repro.hadoop.heartbeat import SuspendTaskAction
-    from repro.schedulers.hfsp import HfspScheduler
     from tests.conftest import quick_cluster
 
     cluster = quick_cluster(
-        scheduler=HfspScheduler(), batch_heartbeats=True,
-        run_job_setup_cleanup=False,
+        scheduler=HfspScheduler(), run_job_setup_cleanup=False,
     )
     jobtracker = cluster.jobtracker
-    index = jobtracker._job_index
+    index = jobtracker.job_index
     job = cluster.submit_job(one_map_job())
     (tip,) = job.tips
     cluster.start()
@@ -364,12 +356,11 @@ def test_last_work_tip_success_launches_cleanup_on_the_same_heartbeat():
     and that very heartbeat launches it."""
     from repro.hadoop.heartbeat import LaunchTaskAction
     from repro.hadoop.states import AttemptState
-    from repro.schedulers.hfsp import HfspScheduler
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster(scheduler=HfspScheduler(), batch_heartbeats=True)
+    cluster = quick_cluster(scheduler=HfspScheduler())
     jobtracker = cluster.jobtracker
-    index = jobtracker._job_index
+    index = jobtracker.job_index
     job = cluster.submit_job(one_map_job())
     (tip,) = job.tips
     cluster.start()
