@@ -572,9 +572,9 @@ def _report_sweep_dir(directory: str) -> int:
             file=sys.stderr,
         )
         return 1
-    # The manifest's `done` flags can be stale (it is written at sweep
-    # start, and a kill may land before the final refresh); the cache
-    # files themselves are the truth.
+    # The sweep flushes the manifest after every finished cell, but a
+    # kill between a cell's cache write and that flush leaves it one
+    # cell behind; the cache files themselves are the truth.
     cells = manifest.get("cells", [])
     for entry in cells:
         entry["done"] = os.path.exists(

@@ -36,7 +36,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, QuarantineError
 
@@ -225,12 +225,12 @@ def execute_cell(cell: Cell) -> Any:
     return fn(**cell.kwargs)
 
 
-def _cache_path(directory: str, cell: Cell) -> str:
-    return os.path.join(directory, cell_key(cell) + ".pkl")
+def _cache_path(directory: str, key: str) -> str:
+    return os.path.join(directory, key + ".pkl")
 
 
-def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
-    """(hit, result) for one cell.
+def _cache_read(directory: str, key: str) -> Tuple[bool, Any]:
+    """(hit, result) for the cell whose :func:`cell_key` is ``key``.
 
     A missing file is a plain miss; a file that *exists* but does not
     unpickle (truncated by a crash mid-write outside the atomic path,
@@ -244,7 +244,7 @@ def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
     """
     from repro.checkpoint.core import schema_fingerprint
 
-    path = _cache_path(directory, cell)
+    path = _cache_path(directory, key)
     try:
         fh = open(path, "rb")
     except OSError:
@@ -276,13 +276,13 @@ def _cache_read(directory: str, cell: Cell) -> Tuple[bool, Any]:
     return True, result
 
 
-def _cache_write(directory: str, cell: Cell, result: Any) -> None:
+def _cache_write(directory: str, key: str, result: Any) -> None:
     """Atomic (tmp + rename) result write, so a kill mid-write never
     leaves a half-cached cell behind.  The entry carries the source
     tree's schema fingerprint next to the result."""
     from repro.checkpoint.core import schema_fingerprint
 
-    path = _cache_path(directory, cell)
+    path = _cache_path(directory, key)
     tmp = f"{path}.tmp.{os.getpid()}"
     entry = {"schema": schema_fingerprint(), "result": result}
     with open(tmp, "wb") as fh:
@@ -290,53 +290,99 @@ def _cache_write(directory: str, cell: Cell, result: Any) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(
-    directory: str,
-    cell_list: List[Cell],
-    quarantined: Optional[List[Any]] = None,
-    stats: Optional[Dict[str, int]] = None,
-) -> None:
-    """Human-readable sweep inventory: every cell's key, label and
-    completion state (``repro resume <dir>`` reports from this).
+def _indented(value: Any, depth: int) -> str:
+    """``value`` as ``json.dump(indent=2)`` writes it ``depth`` levels
+    deep (JSON strings hold no raw newline, so re-indenting is exact)."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+#: the tails of a pre-encoded cell entry before and after it is done
+_UNDONE, _DONE = 'false\n    }', 'true\n    }'
+#: one cell entry without quarantine fields, pre-encoded at list depth
+_ENTRY = '    {\n      "key": %s,\n      "label": %s,\n      "done": ' + _UNDONE
+
+
+class _Manifest:
+    """Human-readable sweep inventory, ``<dir>/manifest.json``: every
+    cell's key, label and completion state (``repro resume <dir>``
+    reports from this).
 
     A supervised sweep also records its quarantined poison cells (per
     cell: attempts and failure causes) and the supervisor's counters
     (retries, worker deaths, timeouts, ...), so a chaos or crash story
     is reconstructable from the manifest alone.
+
+    The file is exactly what ``json.dump(manifest, fh, indent=2)``
+    writes, but each cell's entry is encoded once per sweep and a cell
+    is done once its key is cached (:meth:`mark_done`), so a flush
+    costs one join, not a re-encode and a cache ``stat`` per cell.
+    Only quarantined entries and the supervisor block are encoded per
+    flush.
     """
-    by_index = {
-        record.index: record for record in (quarantined or [])
-    }
-    entries = []
-    for index, cell in enumerate(cell_list):
-        entry = {
-            "key": cell_key(cell),
-            "label": _cell_label(cell),
-            "done": os.path.exists(_cache_path(directory, cell)),
-        }
-        record = by_index.get(index)
-        if record is not None:
-            entry["quarantined"] = True
-            entry["attempts"] = record.attempts
-            entry["causes"] = list(record.causes)
-        entries.append(entry)
-    manifest = {
-        "total": len(entries),
-        "done": sum(1 for e in entries if e["done"]),
-        "quarantined": len(by_index),
-        "cells": entries,
-    }
-    if stats is not None:
-        manifest["supervisor"] = dict(stats)
-    tmp = os.path.join(directory, f"manifest.json.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    os.replace(tmp, os.path.join(directory, "manifest.json"))
+
+    def __init__(self, directory: str, keys: List[str], labels: List[str]):
+        self.directory = directory
+        self.keys = keys
+        self.labels = labels
+        self._parts = [
+            _ENTRY % (json.dumps(key), json.dumps(label))
+            for key, label in zip(keys, labels)
+        ]
+        self._indices: Dict[str, List[int]] = {}
+        for index, key in enumerate(keys):
+            self._indices.setdefault(key, []).append(index)
+        self._done_keys: Set[str] = set()
+        self._done = 0
+
+    def mark_done(self, index: int) -> None:
+        """The result of cell ``index`` is cached: every cell sharing
+        its key is done."""
+        key = self.keys[index]
+        if key in self._done_keys:
+            return
+        self._done_keys.add(key)
+        for same in self._indices[key]:
+            self._parts[same] = self._parts[same][:-len(_UNDONE)] + _DONE
+            self._done += 1
+
+    def flush(
+        self,
+        quarantined: Iterable[Any] = (),
+        stats: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Atomically (tmp + rename) rewrite the manifest."""
+        by_index = {record.index: record for record in quarantined}
+        parts = self._parts
+        if by_index:
+            parts = list(parts)
+            for index, record in by_index.items():
+                entry = {
+                    "key": self.keys[index],
+                    "label": self.labels[index],
+                    "done": self.keys[index] in self._done_keys,
+                    "quarantined": True,
+                    "attempts": record.attempts,
+                    "causes": list(record.causes),
+                }
+                parts[index] = "    " + _indented(entry, 2)
+        cells = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+        text = (
+            f'{{\n  "total": {len(parts)},\n  "done": {self._done},\n'
+            f'  "quarantined": {len(by_index)},\n  "cells": {cells}'
+        )
+        if stats is not None:
+            text += ',\n  "supervisor": ' + _indented(dict(stats), 1)
+        text += "\n}"
+        tmp = os.path.join(self.directory, f"manifest.json.tmp.{os.getpid()}")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(self.directory, "manifest.json"))
 
 
-def _build_supervision(cell_list: List[Cell]):
+def _build_supervision(keys: List[str]):
     """The sweep's :class:`SupervisorConfig` from the module-level
-    overrides (None when no override is active)."""
+    overrides (None when no override is active); ``keys`` are the
+    sweep's cell keys."""
     if not _supervision:
         return None
     from repro.experiments.supervisor import SupervisorConfig
@@ -350,20 +396,19 @@ def _build_supervision(cell_list: List[Cell]):
     if chaos_seed is not None:
         from repro.experiments.chaos import seeded_plan
 
-        kwargs["chaos"] = seeded_plan(
-            [cell_key(cell) for cell in cell_list], chaos_seed
-        )
+        kwargs["chaos"] = seeded_plan(keys, chaos_seed)
         # A seeded plan may hang workers; a hung cell needs a
         # wall-clock budget to be detectable at all.
         kwargs.setdefault("cell_timeout", 600.0)
     return SupervisorConfig(**kwargs)
 
 
-def _grid_digest(cell_list: List[Cell]) -> str:
-    """Content address of the whole grid (sweep-start identity)."""
+def _grid_digest(keys: List[str]) -> str:
+    """Content address of the whole grid (sweep-start identity) from
+    its cell keys."""
     h = hashlib.sha256()
-    for cell in cell_list:
-        h.update(cell_key(cell).encode("utf-8"))
+    for key in keys:
+        h.update(key.encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()[:24]
 
@@ -420,8 +465,6 @@ def _open_ledger(directory: Optional[str]):
 def run_cells(
     cells: Iterable[Cell],
     workers: int = 1,
-    chunksize: int = 1,  # kept for API compatibility; dispatch is
-    #                      per-cell under supervision
     cache_dir: Optional[str] = None,
     supervise=None,
     on_quarantine: str = "raise",
@@ -460,29 +503,34 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
             f"on_quarantine must be 'raise' or 'keep', got {on_quarantine!r}"
         )
     total = len(cell_list)
+    # The sweep's one key/label table: every manifest flush, ledger
+    # event, cache path and chaos plan reads it.
+    keys = [cell_key(cell) for cell in cell_list]
+    labels = [_cell_label(cell) for cell in cell_list]
     directory = cache_dir if cache_dir is not None else _cell_cache_dir
     results: List[Any] = [None] * total
     todo = list(range(total))
+    manifest: Optional[_Manifest] = None
     if directory:
         os.makedirs(directory, exist_ok=True)
+        manifest = _Manifest(directory, keys, labels)
         todo = []
-        for index, cell in enumerate(cell_list):
-            hit, value = _cache_read(directory, cell)
+        for index, key in enumerate(keys):
+            hit, value = _cache_read(directory, key)
             if hit:
                 results[index] = value
+                manifest.mark_done(index)
             else:
                 todo.append(index)
         # Written before running (not just after) so a sweep killed
         # mid-flight still leaves an inventory `repro resume <dir>`
         # can report from.
-        _write_manifest(directory, cell_list)
+        manifest.flush()
     # A warm cache leaves fewer cells than the grid: size the pool by
     # the *remaining* work so a nearly finished sweep does not fork a
     # fleet of idle workers.
     workers = min(workers, MAX_WORKERS, max(len(todo), 1))
-    config = supervise if supervise is not None else _build_supervision(
-        cell_list
-    )
+    config = supervise if supervise is not None else _build_supervision(keys)
 
     ledger = _open_ledger(directory)
 
@@ -494,12 +542,8 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     live_stats: Dict[str, int] = {}
 
     def flush_manifest() -> None:
-        if directory:
-            _write_manifest(
-                directory, cell_list,
-                quarantined=live_quarantined,
-                stats=live_stats or None,
-            )
+        if manifest is not None:
+            manifest.flush(live_quarantined, live_stats or None)
 
     if ledger is not None:
 
@@ -527,8 +571,9 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
 
     def finish(index: int, result: Any) -> None:
         results[index] = result
-        if directory:
-            _cache_write(directory, cell_list[index], result)
+        if manifest is not None:
+            _cache_write(directory, keys[index], result)
+            manifest.mark_done(index)
             flush_manifest()
 
     emit(
@@ -536,7 +581,7 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
         total=total,
         workers=workers,
         cached=total - len(todo),
-        grid_digest=_grid_digest(cell_list),
+        grid_digest=_grid_digest(keys),
         experiment=(
             f"{cell_list[0].module.rsplit('.', 1)[-1]}.{cell_list[0].func}"
             if cell_list else None
@@ -544,31 +589,29 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
         ledger_path=ledger.path if ledger is not None else None,
         supervised=config is not None or (workers > 1 and len(todo) > 1),
         cells=[
-            {"index": i, "key": cell_key(c), "label": _cell_label(c)}
-            for i, c in enumerate(cell_list)
+            {"index": i, "key": key, "label": label}
+            for i, (key, label) in enumerate(zip(keys, labels))
         ],
     )
     if directory:
         todo_set = set(todo)
         for index in range(total):
             if index not in todo_set:
-                emit("cell-cached", index=index,
-                     key=cell_key(cell_list[index]))
+                emit("cell-cached", index=index, key=keys[index])
 
     quarantined: List[Any] = []
     stats: Optional[Dict[str, int]] = None
     try:
         if len(todo) <= 1 or (workers <= 1 and config is None):
             for index in todo:
-                cell = cell_list[index]
-                emit("cell-start", index=index, key=cell_key(cell),
-                     label=_cell_label(cell), attempt=0)
+                emit("cell-start", index=index, key=keys[index],
+                     label=labels[index], attempt=0)
                 started = time.perf_counter()
-                result = execute_cell(cell)
+                result = execute_cell(cell_list[index])
                 finish(index, result)
                 emit(
-                    "cell-finish", index=index, key=cell_key(cell),
-                    label=_cell_label(cell), attempt=0,
+                    "cell-finish", index=index, key=keys[index],
+                    label=labels[index], attempt=0,
                     duration_s=round(time.perf_counter() - started, 3),
                     cost=cell_cost(result),
                     sketch=(
@@ -598,7 +641,7 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
         # Every finished cell is already persisted (finish() writes
         # through); refresh the manifest so `repro resume <dir>` sees
         # the true completion state, then let the interrupt fly.
-        if directory:
+        if manifest is not None:
             flush_manifest()
             print(
                 f"interrupted: completed cells are checkpointed in "
@@ -617,9 +660,8 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     finally:
         if ledger is not None:
             ledger.close()
-    if directory:
-        _write_manifest(directory, cell_list, quarantined=quarantined,
-                        stats=stats)
+    if manifest is not None:
+        manifest.flush(quarantined, stats)
     if quarantined and on_quarantine == "raise":
         names = "; ".join(
             f"{record.label} after {record.attempts} attempt(s): "

@@ -374,9 +374,10 @@ class Supervisor:
         config: SupervisorConfig,
         cache_dir: Optional[str] = None,
         on_finish: Optional[Callable[[int, Any], None]] = None,
-        progress: Optional[Callable[[str], None]] = None,
         ledger=None,
     ):
+        from repro.experiments.runner import _cell_label, cell_key
+
         if workers < 1:
             raise ConfigurationError("supervisor needs at least one worker")
         self.cells = cell_list
@@ -384,10 +385,15 @@ class Supervisor:
         self.config = config
         self.cache_dir = cache_dir
         self.on_finish = on_finish
-        self.progress = progress or (lambda message: None)
         self.ledger = ledger
         self._next_counters = 0.0  # next periodic counters emission
         self.workers = min(workers, max(len(self.todo), 1))
+        # Each to-do cell's key and label, computed once for every
+        # ledger event and backoff that names the cell.
+        self.keys = {index: cell_key(cell_list[index]) for index in self.todo}
+        self.labels = {
+            index: _cell_label(cell_list[index]) for index in self.todo
+        }
 
         self.results: Dict[int, Any] = {}
         self.quarantined: List[QuarantineRecord] = []
@@ -526,9 +532,8 @@ class Supervisor:
             index = self.pending.pop(position)
             attempt = self.attempts[index]
             self.attempts[index] = attempt + 1
-            cell = self.cells[index]
             try:
-                slot.conn.send(("run", index, cell, attempt))
+                slot.conn.send(("run", index, self.cells[index], attempt))
             except (OSError, ValueError):
                 # Died between liveness check and send; requeue
                 # without charging an attempt and let _reap_dead
@@ -543,8 +548,8 @@ class Supervisor:
                 if self.config.cell_timeout is not None else None
             )
             self._emit(
-                "cell-start", index=index, key=_key_of(cell),
-                label=_label_of(cell), attempt=attempt,
+                "cell-start", index=index, key=self.keys[index],
+                label=self.labels[index], attempt=attempt,
                 slot=slot.slot_id,
             )
 
@@ -619,10 +624,9 @@ class Supervisor:
             self.on_finish(index, result)
         from repro.experiments.runner import cell_cost
 
-        cell = self.cells[index]
         self._emit(
-            "cell-finish", index=index, key=_key_of(cell),
-            label=_label_of(cell), attempt=attempt,
+            "cell-finish", index=index, key=self.keys[index],
+            label=self.labels[index], attempt=attempt,
             duration_s=(
                 round(time.monotonic() - started, 3)
                 if started is not None else None
@@ -727,7 +731,7 @@ class Supervisor:
         used = self.attempts[index]  # attempts already started
         if used <= self.config.max_retries:
             self._inc("retries")
-            key = _key_of(self.cells[index])
+            key = self.keys[index]
             self.not_before[index] = time.monotonic() + retry_backoff(
                 key, used - 1,
                 base=self.config.backoff_base,
@@ -743,8 +747,8 @@ class Supervisor:
             self._inc("quarantines")
             record = QuarantineRecord(
                 index=index,
-                key=_key_of(self.cells[index]),
-                label=_label_of(self.cells[index]),
+                key=self.keys[index],
+                label=self.labels[index],
                 attempts=used,
                 causes=list(self.causes[index]),
             )
@@ -756,18 +760,6 @@ class Supervisor:
             )
 
 
-def _key_of(cell) -> str:
-    from repro.experiments.runner import cell_key
-
-    return cell_key(cell)
-
-
-def _label_of(cell) -> str:
-    from repro.experiments.runner import _cell_label
-
-    return _cell_label(cell)
-
-
 def supervise_cells(
     cell_list: List[Any],
     todo: List[int],
@@ -775,7 +767,6 @@ def supervise_cells(
     config: Optional[SupervisorConfig] = None,
     cache_dir: Optional[str] = None,
     on_finish: Optional[Callable[[int, Any], None]] = None,
-    progress: Optional[Callable[[str], None]] = None,
     ledger=None,
 ) -> SweepResult:
     """Run ``cell_list[i] for i in todo`` under supervision.
@@ -785,13 +776,11 @@ def supervise_cells(
     non-raising API; :func:`repro.experiments.runner.run_cells` wraps
     it and raises :class:`~repro.errors.QuarantineError` by default.
     Pass a :class:`~repro.obs.ledger.Ledger` to narrate every
-    lifecycle event (``progress`` is kept for API compatibility; the
-    ledger's console renderer supersedes it).
+    lifecycle event.
     """
     supervisor = Supervisor(
         cell_list, todo, workers,
         config or SupervisorConfig(),
-        cache_dir=cache_dir, on_finish=on_finish, progress=progress,
-        ledger=ledger,
+        cache_dir=cache_dir, on_finish=on_finish, ledger=ledger,
     )
     return supervisor.run()

@@ -280,6 +280,7 @@ class TestSweepCaching:
     def test_killed_sweep_resumes_identically(self, tmp_path):
         from repro.experiments.runner import (
             _cache_path,
+            cell_key,
             run_cells,
         )
 
@@ -287,8 +288,8 @@ class TestSweepCaching:
         cache = str(tmp_path / "sweep")
         reference = run_cells(cells, cache_dir=cache)
         # simulate a mid-sweep kill: two results never got written
-        os.remove(_cache_path(cache, cells[1]))
-        os.remove(_cache_path(cache, cells[3]))
+        os.remove(_cache_path(cache, cell_key(cells[1])))
+        os.remove(_cache_path(cache, cell_key(cells[3])))
         resumed = run_cells(cells, cache_dir=cache)
         assert resumed == reference
         assert run_cells(cells) == reference  # cache off: same values
@@ -305,12 +306,12 @@ class TestSweepCaching:
         assert all(entry["done"] for entry in manifest["cells"])
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        from repro.experiments.runner import _cache_path, run_cells
+        from repro.experiments.runner import _cache_path, cell_key, run_cells
 
         cells = self._cells()
         cache = str(tmp_path / "sweep")
         reference = run_cells(cells, cache_dir=cache)
-        with open(_cache_path(cache, cells[2]), "wb") as fh:
+        with open(_cache_path(cache, cell_key(cells[2])), "wb") as fh:
             fh.write(b"garbage")
         assert run_cells(cells, cache_dir=cache) == reference
 

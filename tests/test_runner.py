@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     Cell,
+    cell_key,
     default_workers,
     derive_seed,
     execute_cell,
@@ -107,8 +108,8 @@ class TestRunCells:
         run_cells(cells, workers=1, cache_dir=cache)
         from repro.experiments.runner import _cache_path
 
-        os.remove(_cache_path(cache, cells[1]))
-        os.remove(_cache_path(cache, cells[4]))
+        os.remove(_cache_path(cache, cell_key(cells[1])))
+        os.remove(_cache_path(cache, cell_key(cells[4])))
 
         seen = {}
 
@@ -136,7 +137,7 @@ class TestRunCells:
         cells = self.cells(3)
         cache = str(tmp_path / "sweep")
         reference = run_cells(cells, workers=1, cache_dir=cache)
-        path = _cache_path(cache, cells[1])
+        path = _cache_path(cache, cell_key(cells[1]))
         with open(path, "wb") as fh:
             fh.write(b"\x80\x05garbage-truncated")
         assert run_cells(cells, workers=1, cache_dir=cache) == reference
@@ -159,7 +160,7 @@ class TestRunCells:
             patch.setattr(checkpoint_core, "schema_fingerprint",
                           lambda: "oldtree")
             for cell in cells:
-                runner_mod._cache_write(cache, cell, {"stale": True})
+                runner_mod._cache_write(cache, cell_key(cell), {"stale": True})
         ran = []
 
         def counting_execute(cell):
@@ -198,3 +199,162 @@ class TestRunCells:
         assert run_cells(healthy, workers=1, cache_dir=cache) == [
             probe_cell(0), probe_cell(1)
         ]
+
+
+class FlushRecorder:
+    """Records every manifest flush's bytes, and the bytes the legacy
+    writer (``tests/legacy_manifest.py``) writes from the same cache
+    directory at the same moment."""
+
+    def __init__(self, monkeypatch):
+        import repro.experiments.runner as runner_mod
+        from tests.legacy_manifest import legacy_write_manifest
+
+        self.flushes = []
+        self.legacy = []
+        self.cells = []
+        real = runner_mod._Manifest.flush
+        recorder = self
+
+        def flush(manifest, quarantined=(), stats=None):
+            quarantined = list(quarantined)
+            path = os.path.join(manifest.directory, "manifest.json")
+            real(manifest, quarantined, stats)
+            with open(path, "rb") as fh:
+                recorder.flushes.append(fh.read())
+            legacy_write_manifest(
+                manifest.directory, recorder.cells, quarantined, stats
+            )
+            with open(path, "rb") as fh:
+                recorder.legacy.append(fh.read())
+
+        monkeypatch.setattr(runner_mod._Manifest, "flush", flush)
+
+    def run(self, cells, **kwargs):
+        self.cells = cells
+        return run_cells(cells, **kwargs)
+
+    def done_counts(self, flushes):
+        return [json.loads(data)["done"] for data in flushes]
+
+
+class TestManifestWriter:
+    """The pre-encoded manifest writes the legacy writer's bytes at
+    every flush, with the same cadence: sweep start, every finished
+    cell, every quarantine, interrupt and sweep end."""
+
+    def cells(self, n=4):
+        return [
+            Cell.make("tests.test_runner", "probe_cell", seed=i)
+            for i in range(n)
+        ]
+
+    def assert_identical(self, recorder, flushes):
+        assert len(recorder.flushes) == flushes
+        for new, legacy in zip(recorder.flushes, recorder.legacy):
+            assert new == legacy
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_warm_and_partly_warm(self, tmp_path, monkeypatch, workers):
+        from repro.experiments.runner import _cache_path
+
+        recorder = FlushRecorder(monkeypatch)
+        cells = self.cells(4)
+        cache = str(tmp_path / "sweep")
+        reference = recorder.run(cells, workers=workers, cache_dir=cache)
+        self.assert_identical(recorder, 6)
+        assert recorder.done_counts(recorder.flushes) == [0, 1, 2, 3, 4, 4]
+        assert recorder.run(cells, workers=workers,
+                            cache_dir=cache) == reference
+        self.assert_identical(recorder, 8)
+        os.remove(_cache_path(cache, cell_key(cells[1])))
+        os.remove(_cache_path(cache, cell_key(cells[2])))
+        assert recorder.run(cells, workers=workers,
+                            cache_dir=cache) == reference
+        self.assert_identical(recorder, 12)
+        assert recorder.done_counts(recorder.flushes[8:]) == [2, 3, 4, 4]
+
+    def test_duplicate_cells_share_done(self, tmp_path, monkeypatch):
+        recorder = FlushRecorder(monkeypatch)
+        cells = self.cells(2) + self.cells(2)
+        recorder.run(cells, workers=1, cache_dir=str(tmp_path))
+        self.assert_identical(recorder, 6)
+        assert recorder.done_counts(recorder.flushes) == [0, 2, 4, 4, 4, 4]
+
+    def test_chaos_quarantine_with_supervisor_counters(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.chaos import ChaosFault, make_plan
+        from repro.experiments.supervisor import SupervisorConfig
+
+        recorder = FlushRecorder(monkeypatch)
+        cells = self.cells(4)
+        config = SupervisorConfig(
+            max_retries=0, backoff_base=0.01, backoff_cap=0.05,
+            heartbeat_interval=0.05, snapshot_every=None,
+            chaos=make_plan({(cell_key(cells[2]), 0): ChaosFault("kill")}),
+        )
+        results = recorder.run(cells, workers=2, cache_dir=str(tmp_path),
+                               supervise=config, on_quarantine="keep")
+        assert results[2] is None
+        # start, three finished cells, one quarantine, end
+        self.assert_identical(recorder, 6)
+        final = json.loads(recorder.flushes[-1])
+        assert final["quarantined"] == 1
+        assert final["cells"][2]["causes"]
+        assert final["supervisor"]["quarantines"] == 1
+        assert any(b'"quarantined": true' in data
+                   for data in recorder.flushes[:-1])
+
+    def test_keyboard_interrupt(self, tmp_path, monkeypatch):
+        recorder = FlushRecorder(monkeypatch)
+        cells = self.cells(2) + [
+            Cell.make("tests.test_runner", "interrupting_cell", seed=0),
+        ]
+        with pytest.raises(KeyboardInterrupt):
+            recorder.run(cells, workers=1, cache_dir=str(tmp_path))
+        self.assert_identical(recorder, 4)
+        assert recorder.done_counts(recorder.flushes) == [0, 1, 2, 2]
+
+    def test_empty_grid(self, tmp_path, monkeypatch):
+        recorder = FlushRecorder(monkeypatch)
+        assert recorder.run([], workers=1, cache_dir=str(tmp_path)) == []
+        self.assert_identical(recorder, 2)
+
+    def test_stale_schema_cell_is_not_done(self, tmp_path, monkeypatch):
+        """A result cached by another source tree misses, so the cell
+        is not done until it re-runs.  The legacy writer counted the
+        stale file as done."""
+        import repro.checkpoint.core as checkpoint_core
+        import repro.experiments.runner as runner_mod
+
+        cells = self.cells(3)
+        cache = str(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_core, "schema_fingerprint",
+                          lambda: "oldtree")
+            runner_mod._cache_write(cache, cell_key(cells[0]), {"stale": 1})
+        recorder = FlushRecorder(monkeypatch)
+        recorder.run(cells, workers=1, cache_dir=cache)
+        assert recorder.done_counts(recorder.flushes) == [0, 1, 2, 3, 3]
+        assert recorder.done_counts(recorder.legacy) == [1, 1, 2, 3, 3]
+
+    def test_cell_key_calls_linear_in_cells(self, tmp_path, monkeypatch):
+        """Deterministic cost guard: a sweep computes each cell's key a
+        bounded number of times, not once per cell per flush."""
+        import repro.experiments.runner as runner_mod
+
+        calls = []
+        real = runner_mod.cell_key
+
+        def counting(cell):
+            calls.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(runner_mod, "cell_key", counting)
+        cells = self.cells(40)
+        cache = str(tmp_path)
+        for _ in ("cold", "warm"):
+            del calls[:]
+            run_cells(cells, workers=1, cache_dir=cache)
+            assert len(calls) <= 3 * len(cells)
