@@ -561,6 +561,8 @@ def _report_sweep_dir(directory: str) -> int:
     """Completion report for a ``--checkpoint-dir`` sweep directory."""
     import json
 
+    from repro.experiments.runner import cache_is_current
+
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
@@ -574,12 +576,11 @@ def _report_sweep_dir(directory: str) -> int:
         return 1
     # The sweep flushes the manifest after every finished cell, but a
     # kill between a cell's cache write and that flush leaves it one
-    # cell behind; the cache files themselves are the truth.
+    # cell behind; the cache files themselves are the truth -- those
+    # this source tree would reuse, not those another tree wrote.
     cells = manifest.get("cells", [])
     for entry in cells:
-        entry["done"] = os.path.exists(
-            os.path.join(directory, f"{entry.get('key')}.pkl")
-        )
+        entry["done"] = cache_is_current(directory, str(entry.get("key")))
     done = sum(1 for entry in cells if entry["done"])
     total = manifest.get("total", len(cells))
     quarantined = [entry for entry in cells if entry.get("quarantined")]

@@ -276,6 +276,21 @@ def _cache_read(directory: str, key: str) -> Tuple[bool, Any]:
     return True, result
 
 
+def cache_is_current(directory: str, key: str) -> bool:
+    """Would :func:`_cache_read` hit ``key``?  Read-only: a missing,
+    corrupt or other-tree cache file is simply not current, and is
+    neither quarantined nor reported."""
+    from repro.checkpoint.core import schema_fingerprint
+
+    try:
+        with open(_cache_path(directory, key), "rb") as fh:
+            return pickle.load(fh)["schema"] == schema_fingerprint()
+    except Exception:
+        # Missing or unreadable in any way: _cache_read would miss (and
+        # quarantine a corrupt file), so the cell is not done.
+        return False
+
+
 def _cache_write(directory: str, key: str, result: Any) -> None:
     """Atomic (tmp + rename) result write, so a kill mid-write never
     leaves a half-cached cell behind.  The entry carries the source

@@ -101,7 +101,8 @@ def _run_once(
         )
     racks = max(1, (trackers + HOSTS_PER_RACK - 1) // HOSTS_PER_RACK)
     net = NetConfig.oversubscribed(
-        hosts_per_rack=HOSTS_PER_RACK, oversubscription=oversubscription
+        hosts_per_rack=HOSTS_PER_RACK, oversubscription=oversubscription,
+        meter_utilization=True,
     )
     cluster = HadoopCluster(
         num_nodes=trackers,

@@ -41,8 +41,11 @@ class NetConfig:
         (Hadoop's ``mapred.reduce.parallel.copies`` aggregated at node
         level); further fetches queue FIFO in the
         :class:`~repro.netmodel.transfer.TransferManager`.
-    utilization_bucket:
-        Seconds per bucket of the per-link utilization timeline.
+    meter_utilization:
+        Integrate every link's carried bytes, so
+        :meth:`~repro.netmodel.link.Link.mean_utilization` can be read.
+        Off by default: the meter costs a write per link on every rate
+        change, and only the shuffle study reads it.
     """
 
     nic_bandwidth: float = float(GIGABIT)
@@ -50,7 +53,7 @@ class NetConfig:
     core_bandwidth: float = float(16 * GIGABIT)
     loopback_bandwidth: float = float(10 * GIGABIT)
     max_flows_per_host: int = 5
-    utilization_bucket: float = 10.0
+    meter_utilization: bool = False
 
     def __post_init__(self) -> None:
         for name in (
@@ -63,8 +66,6 @@ class NetConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.max_flows_per_host < 1:
             raise ConfigurationError("max_flows_per_host must be at least 1")
-        if self.utilization_bucket <= 0:
-            raise ConfigurationError("utilization_bucket must be positive")
 
     @classmethod
     def oversubscribed(

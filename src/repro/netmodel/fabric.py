@@ -30,7 +30,7 @@ Determinism rules (pinned by ``tests/test_netmodel.py``):
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.hdfs.topology import RackTopology
@@ -53,9 +53,10 @@ class Fabric:
         self.sim = sim
         self.topology = topology
         self.config = config or NetConfig()
-        now = sim.now
-        bucket = self.config.utilization_bucket
-        self.core = Link("core", self.config.core_bandwidth, now, bucket)
+        self.core = Link(
+            "core", self.config.core_bandwidth, sim.now,
+            self.config.meter_utilization,
+        )
         self._nics: Dict[str, Link] = {}
         self._uplinks: Dict[str, Link] = {}
         for host in topology.hosts():
@@ -76,14 +77,14 @@ class Fabric:
         if host in self._nics:
             return
         now = self.sim.now
-        bucket = self.config.utilization_bucket
+        metered = self.config.meter_utilization
         self._nics[host] = Link(
-            f"nic:{host}", self.config.nic_bandwidth, now, bucket
+            f"nic:{host}", self.config.nic_bandwidth, now, metered
         )
         rack = self.topology.rack_of(host)
         if rack not in self._uplinks:
             self._uplinks[rack] = Link(
-                f"uplink:{rack}", self.config.uplink_bandwidth, now, bucket
+                f"uplink:{rack}", self.config.uplink_bandwidth, now, metered
             )
 
     def nic(self, host: str) -> Link:
@@ -197,28 +198,28 @@ class Fabric:
     def _rate_of(self, flow: Flow) -> float:
         if not flow.path:
             return self.config.loopback_bandwidth
-        return min(link.fair_share() for link in flow.path)
+        return min([link.share for link in flow.path])
 
     def _attach(self, flow: Flow) -> None:
-        now = self.sim.now
-        for link in flow.path:
-            link._add(flow.flow_id, now)
-        self._recouple(flow.path, added=flow)
+        # A loopback flow crosses no shared segment: nothing to re-rate.
+        if flow.path:
+            for link in flow.path:
+                link._add(flow)
+            self._recouple(flow.path, added=flow)
 
     def _detach(self, flow: Flow) -> None:
-        now = self.sim.now
-        for link in flow.path:
-            link._remove(flow.flow_id, now)
-        self._recouple(flow.path, removed=True)
+        if flow.path:
+            now = self.sim.now
+            for link in flow.path:
+                link._remove(flow, now)
+            self._recouple(flow.path)
 
     def _recouple(
-        self,
-        touched: Iterable[Link],
-        added: Optional[Flow] = None,
-        removed: bool = False,
+        self, touched: List[Link], added: Optional[Flow] = None
     ) -> None:
         """Reassign bottleneck shares to the flows a membership change
-        can actually move.
+        can actually move: an attach of ``added``, or (``added`` is
+        ``None``) a detach, over the ``touched`` links of its path.
 
         One attach/detach shifts each touched link's fair share in a
         known direction, which screens the candidates: an **attach**
@@ -231,41 +232,38 @@ class Fabric:
         have recomputed to their current rate, so skipping them changes
         no rate, no event, and no utilization sample; it is what keeps
         a hot core link (hundreds of crossing flows) from turning every
-        membership change into a full re-rate.  Callers that pass
-        neither hint get the unscreened full visit.
+        membership change into a full re-rate.  Link members are
+        exactly the active flows, so every candidate is re-rated.
         """
-        now = self.sim.now
-        affected = set()
+        affected: Dict[int, Flow] = {}
         if added is not None:
-            affected.add(added.flow_id)
-        for link in touched:
-            n = len(link._flows)
-            if n == 0:
-                continue
-            if added is not None:
-                share = link.capacity / n
-                for fid in link._flows:
-                    flow = self._flows.get(fid)
-                    if flow is not None and flow.rate > share:
-                        affected.add(fid)
-            elif removed:
-                prev_share = link.capacity / (n + 1)
-                for fid in link._flows:
-                    flow = self._flows.get(fid)
-                    if flow is not None and flow.rate == prev_share:
-                        affected.add(fid)
-            else:
-                affected.update(link._flows)
+            affected[added.flow_id] = added
+            for link in touched:
+                share = link.share
+                for flow_id, flow in link._flows.items():
+                    if flow.rate > share:
+                        affected[flow_id] = flow
+        else:
+            for link in touched:
+                prev_share = link.capacity / (len(link._flows) + 1)
+                for flow_id, flow in link._flows.items():
+                    if flow.rate == prev_share:
+                        affected[flow_id] = flow
+        metered = self.config.meter_utilization
+        now = self.sim.now
         for flow_id in sorted(affected):
-            flow = self._flows.get(flow_id)
-            if flow is None or flow.state is not FlowState.ACTIVE:
-                continue
-            rate = self._rate_of(flow)
-            if rate != flow.rate:
-                flow._set_rate(rate)
-            for link in flow.path:
-                if link._flows.get(flow_id) != rate:
-                    link._set_flow_rate(flow_id, rate, now)
+            flow = affected[flow_id]
+            old = flow.rate
+            rate = min([link.share for link in flow.path])
+            flow._set_rate(rate)
+            if metered:
+                # Each link carried the newcomer at 0 until now.
+                if flow is added:
+                    old = 0.0
+                if rate != old:
+                    delta = rate - old
+                    for link in flow.path:
+                        link._meter(delta, now)
 
     # -- introspection -------------------------------------------------------------
 

@@ -5,21 +5,26 @@ cross it -- the same egalitarian processor-sharing policy as
 :class:`~repro.osmodel.resources.RateResource`, but a flow's *actual*
 rate is set by its bottleneck link, so a link cannot integrate one
 cumulative service function for all of its flows (they progress at
-different rates).  The link therefore keeps only membership and the
-fair-share arithmetic; per-flow progress lives in each flow's own
-virtual-time pipe (see :mod:`repro.netmodel.flow`), and the
+different rates).  The link therefore keeps only its member flows and
+one cached fair :attr:`~Link.share`, refreshed on every membership
+change; per-flow progress lives in each flow's own virtual-time pipe
+(see :mod:`repro.netmodel.flow`), and the
 :class:`~repro.netmodel.fabric.Fabric` couples the two.
 
-Each link also accumulates a deterministic utilization timeline: the
-aggregate flow rate is piecewise constant between fabric updates, so
-the byte integral per fixed-width bucket is exact.
+A *metered* link (``NetConfig.meter_utilization``) also integrates its
+aggregate flow rate: the rate is piecewise constant between fabric
+updates, so the byte integral is exact.  Unmetered links skip that
+work, and their :meth:`~Link.mean_utilization` raises.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, TYPE_CHECKING
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.netmodel.flow import Flow
 
 
 class Link:
@@ -27,105 +32,94 @@ class Link:
 
     __slots__ = (
         "name",
-        "capacity",
+        "_capacity",
+        "share",
         "_flows",
+        "metered",
         "_rate_sum",
         "_last_at",
         "_created_at",
-        "_bucket_width",
-        "_buckets",
         "bytes_carried",
     )
 
     def __init__(
-        self, name: str, capacity: float, now: float, bucket_width: float = 10.0
+        self, name: str, capacity: float, now: float, metered: bool = False
     ):
         if capacity <= 0:
             raise SimulationError(f"{name}: link capacity must be positive")
         self.name = name
+        #: flow_id -> member flow; insertion-ordered for determinism
+        self._flows: Dict[int, "Flow"] = {}
         self.capacity = float(capacity)
-        #: flow_id -> current rate; insertion-ordered for determinism
-        self._flows: Dict[int, float] = {}
-        #: sum of the current rates of all flows on this link
+        self.metered = metered
+        #: sum of the current rates of all flows on this link (metered)
         self._rate_sum = 0.0
         self._last_at = now
         self._created_at = now
-        self._bucket_width = bucket_width
-        #: bucket index -> bytes carried during that bucket
-        self._buckets: Dict[int, float] = {}
         self.bytes_carried = 0.0
 
     # -- fair sharing ------------------------------------------------------
+
+    @property
+    def capacity(self) -> float:
+        """Line rate in bytes/second."""
+        return self._capacity
+
+    @capacity.setter
+    def capacity(self, value: float) -> None:
+        self._capacity = value
+        #: bytes/second each crossing flow is entitled to
+        self.share = value / (len(self._flows) or 1)
 
     @property
     def flow_count(self) -> int:
         """Number of flows currently crossing this link."""
         return len(self._flows)
 
-    def fair_share(self) -> float:
-        """Bytes/second each crossing flow is entitled to."""
-        n = len(self._flows)
-        if n == 0:
-            return self.capacity
-        return self.capacity / n
-
     # -- membership (fabric-internal) --------------------------------------
 
-    def _add(self, flow_id: int, now: float) -> None:
-        self._accumulate(now)
-        self._flows[flow_id] = 0.0
+    def _add(self, flow: "Flow") -> None:
+        # A newcomer's rate is metered when the fabric first rates it.
+        self._flows[flow.flow_id] = flow
+        self.share = self._capacity / len(self._flows)
 
-    def _remove(self, flow_id: int, now: float) -> None:
-        self._accumulate(now)
-        rate = self._flows.pop(flow_id, 0.0)
-        self._rate_sum -= rate
-        if not self._flows:
-            self._rate_sum = 0.0  # kill residual float dust
+    def _remove(self, flow: "Flow", now: float) -> None:
+        flows = self._flows
+        del flows[flow.flow_id]
+        self.share = self._capacity / (len(flows) or 1)
+        if self.metered:
+            self._accumulate(now)
+            self._rate_sum -= flow.rate
+            if not flows:
+                self._rate_sum = 0.0  # kill residual float dust
 
-    def _set_flow_rate(self, flow_id: int, rate: float, now: float) -> None:
+    def _meter(self, delta: float, now: float) -> None:
+        """A member's rate moved by ``delta`` (metered links only)."""
         self._accumulate(now)
-        self._rate_sum += rate - self._flows[flow_id]
-        self._flows[flow_id] = rate
+        self._rate_sum += delta
 
     # -- utilization accounting ----------------------------------------------
 
     def _accumulate(self, now: float) -> None:
         """Fold the piecewise-constant aggregate rate since the last
-        change into the byte integral and its buckets."""
+        change into the byte integral."""
         elapsed = now - self._last_at
-        if elapsed <= 0 or self._rate_sum <= 0:
-            self._last_at = now
-            return
-        start, rate = self._last_at, self._rate_sum
-        self.bytes_carried += rate * elapsed
-        width = self._bucket_width
-        first = int(start // width)
-        last = int(now // width)
-        for bucket in range(first, last + 1):
-            lo = max(start, bucket * width)
-            hi = min(now, (bucket + 1) * width)
-            if hi > lo:
-                self._buckets[bucket] = self._buckets.get(bucket, 0.0) + rate * (
-                    hi - lo
-                )
+        if elapsed > 0 and self._rate_sum > 0:
+            self.bytes_carried += self._rate_sum * elapsed
         self._last_at = now
 
     def mean_utilization(self, now: float) -> float:
         """Fraction of capacity used since construction, settled to now."""
+        if not self.metered:
+            raise SimulationError(
+                f"{self.name}: utilization is not metered "
+                "(NetConfig.meter_utilization is off)"
+            )
         self._accumulate(now)
         elapsed = now - self._created_at
         if elapsed <= 0:
             return 0.0
-        return self.bytes_carried / (self.capacity * elapsed)
-
-    def utilization_timeline(self, now: float) -> List[Tuple[float, float]]:
-        """(bucket start time, utilization in [0, 1]) pairs, in order."""
-        self._accumulate(now)
-        width = self._bucket_width
-        return [
-            (bucket * width, self._buckets[bucket] / (self.capacity * width))
-            for bucket in sorted(self._buckets)
-        ]
+        return self.bytes_carried / (self._capacity * elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Link(name={self.name!r}, flows={len(self._flows)})"

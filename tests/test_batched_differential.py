@@ -154,16 +154,36 @@ SHUFFLE_GOLDEN = {
 }
 
 
+#: the metered link utilizations ``(uplink_util, core_util)`` of the
+#: shuffle cells, which the sketch leaves out; pinned from the tree
+#: that metered every link, before metering became opt-in
+SHUFFLE_UTIL_GOLDEN = {
+    "kill-s0": (0.07889380068246714, 0.05917035051185038),
+    "suspend-s1": (0.06531226350119361, 0.04898419762589521),
+    "shuffle-kill-10": (0.08963656116151753, 0.06722742087113819),
+}
+
+
+def assert_util_golden(result, cell):
+    actual = (result["uplink_util"], result["core_util"])
+    assert actual == SHUFFLE_UTIL_GOLDEN[cell], (
+        f"{cell}: utilization {actual!r} != pinned "
+        f"{SHUFFLE_UTIL_GOLDEN[cell]!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "primitive,seed_salt", list(SHUFFLE_GOLDEN),
     ids=[f"{p}-s{salt}" for p, salt in SHUFFLE_GOLDEN],
 )
 def test_shuffle_cell_equivalence(primitive, seed_salt):
+    result = run_shuffle(primitive, seed_salt)
     assert_golden(
-        run_shuffle(primitive, seed_salt),
+        result,
         SHUFFLE_GOLDEN[primitive, seed_salt],
         f"shuffle/{primitive}/s{seed_salt}",
     )
+    assert_util_golden(result, f"{primitive}-s{seed_salt}")
 
 
 #: the memory-admission scripts: all four modes, because the gated
@@ -217,7 +237,10 @@ LARGER_GOLDEN = {
 @pytest.mark.parametrize("cell", list(LARGER_GOLDEN))
 def test_larger_cell_equivalence(cell):
     run, golden = LARGER_GOLDEN[cell]
-    assert_golden(run(), golden, cell)
+    result = run()
+    assert_golden(result, golden, cell)
+    if cell in SHUFFLE_UTIL_GOLDEN:
+        assert_util_golden(result, cell)
 
 
 #: the paper's two-job microbenchmark: suspension mid-flight at 50%

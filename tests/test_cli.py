@@ -137,6 +137,37 @@ class TestProfile:
         assert "error" in capsys.readouterr().err
 
 
+class TestResumeSweepDir:
+    def test_stale_schema_cell_is_not_done(self, tmp_path, capsys):
+        import json
+        import pickle
+
+        from repro.experiments.runner import _cache_write
+
+        manifest = {"total": 3, "cells": [
+            {"key": "fresh", "label": "cell fresh", "done": True},
+            {"key": "stale", "label": "cell stale", "done": True},
+            {"key": "torn", "label": "cell torn", "done": True},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        _cache_write(str(tmp_path), "fresh", {"x": 1.0})
+        stale = tmp_path / "stale.pkl"
+        with open(stale, "wb") as fh:
+            pickle.dump({"schema": "another-tree", "result": {"x": 2.0}}, fh)
+        torn = tmp_path / "torn.pkl"
+        torn.write_bytes(b"\x80\x05 not a whole pickle")
+        assert main(["resume", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "1/3 cells checkpointed" in captured.out
+        assert "[x] cell fresh" in captured.out
+        assert "[ ] cell stale" in captured.out
+        assert "[ ] cell torn" in captured.out
+        # A report, not a sweep: nothing is moved or announced.
+        assert stale.exists() and torn.exists()
+        assert not list(tmp_path.glob("*.corrupt"))
+        assert captured.err == ""
+
+
 class TestBenchGuard:
     """tools/bench_guard.py: artifact shape and regression detection."""
 

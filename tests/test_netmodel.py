@@ -198,7 +198,8 @@ class TestFlowLifecycle:
 class TestUtilization:
     def test_mean_utilization_simple(self):
         cfg = NetConfig(
-            nic_bandwidth=100.0, uplink_bandwidth=100.0, core_bandwidth=1000.0
+            nic_bandwidth=100.0, uplink_bandwidth=100.0, core_bandwidth=1000.0,
+            meter_utilization=True,
         )
         sim, fabric = make_fabric(cfg)
         fabric.start_flow("r0h0", "r1h0", 100, lambda f: None)
@@ -206,8 +207,15 @@ class TestUtilization:
         # 100 bytes over a 100 B/s uplink in 2 s of wall -> 50%.
         uplink = fabric.uplink("/rack0")
         assert uplink.mean_utilization(sim.now) == pytest.approx(0.5)
-        timeline = uplink.utilization_timeline(sim.now)
-        assert timeline and timeline[0][1] > 0
+
+    def test_unmetered_utilization_raises(self):
+        sim, fabric = make_fabric()
+        fabric.start_flow("r0h0", "r1h0", 100, lambda f: None)
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError):
+            fabric.uplink("/rack0").mean_utilization(sim.now)
+        with pytest.raises(SimulationError):
+            fabric.mean_uplink_utilization()
 
     def test_offrack_flow_counter(self):
         sim, fabric = make_fabric()
