@@ -119,6 +119,9 @@ class JobTracker:
         #: standing live-job index every heartbeat consults (the aux
         #: list here, the SRPT candidate order in HFSP)
         self.job_index = JobIndex()
+        #: the newest run of parked idle trackers, which the next
+        #: tracker to park may join (see ``TaskTracker._park``)
+        self.parked_run = None
         self._expiry_event = None
         scheduler.bind(self)
 
@@ -183,6 +186,7 @@ class JobTracker:
                     tip.request_kill(self.sim.now)
                 except TaskStateError:  # pragma: no cover - defensive
                     pass
+                self._wake(tip)
         self._teardown_speculative(job)
         self.trace("jt.kill-job", job=job_id)
 
@@ -193,6 +197,7 @@ class JobTracker:
         the next heartbeat to the task's TaskTracker."""
         tip = self.tip(tip_id)
         tip.request_suspend(self.sim.now)
+        self._wake(tip)
         self.trace("jt.must-suspend", tip=tip_id)
 
     def resume_task(self, tip_id: str) -> None:
@@ -200,6 +205,7 @@ class JobTracker:
         sent as soon as the owning tracker has a free slot."""
         tip = self.tip(tip_id)
         tip.request_resume(self.sim.now)
+        self._wake(tip)
         self.trace("jt.must-resume", tip=tip_id)
 
     def kill_task(self, tip_id: str) -> None:
@@ -207,7 +213,15 @@ class JobTracker:
         scratch (the pre-existing Hadoop primitive)."""
         tip = self.tip(tip_id)
         tip.request_kill(self.sim.now)
+        self._wake(tip)
         self.trace("jt.must-kill", tip=tip_id)
+
+    def _wake(self, tip: TaskInProgress) -> None:
+        """The tip now awaits a directive: its host's next heartbeat
+        must walk, even if that tracker is parked."""
+        tracker = self.trackers.get(tip.tracker)
+        if tracker is not None:
+            tracker.wake()
 
     def tip(self, tip_id: str) -> TaskInProgress:
         """Look up a task-in-progress by id."""
@@ -498,13 +512,7 @@ class JobTracker:
         host awaits a directive.  Only reads state, so a later walk
         repairs the same notes to the same result.
         """
-        index = self.job_index
-        if (
-            index.aux_dirty
-            or index.aux_jobs
-            or self.speculator is not None
-            or self.scheduler.may_offer(index)
-        ):
+        if not self.offers_nothing():
             return False
         bucket = self._tips_by_tracker.get(host)
         if bucket:
@@ -515,6 +523,19 @@ class JobTracker:
                 ):
                     return False
         return True
+
+    def offers_nothing(self) -> bool:
+        """The host-independent half of :meth:`_walk_is_empty`: no job
+        has a pending (or possibly pending) setup/cleanup tip, no
+        speculator could book a backup, and the scheduler has nothing
+        it could offer any tracker."""
+        index = self.job_index
+        return not (
+            index.aux_dirty
+            or index.aux_jobs
+            or self.speculator is not None
+            or self.scheduler.may_offer(index)
+        )
 
     def _note_heartbeat(self, host: str, suspended_bytes: int) -> None:
         """Every heartbeat's bookkeeping: liveness (the expiry input)
@@ -702,6 +723,7 @@ class JobTracker:
                         other.request_kill(self.sim.now)
                     except TaskStateError:  # pragma: no cover - defensive
                         pass
+                    self._wake(other)
             self._teardown_speculative(job)
             self._announce_completion(job)
         self.scheduler.job_updated(job)

@@ -85,8 +85,12 @@ class TaskTracker:
         #: exact same float forever and their heartbeats coalesce.
         self._phase_origin: Optional[float] = None
         self._phase_tick = 0
+        #: the parked run this idle phase-locked tracker's next periodic
+        #: heartbeat rides (``_heartbeat_event`` is None meanwhile), and
+        #: whether a wake there (see :meth:`wake`) makes that one walk
+        self._run: Optional[ParkedRun] = None
+        self._woken = False
         self.started = False
-        self.heartbeats_sent = 0
         #: callbacks fired with each TaskAttempt right after launch
         self.launch_callbacks: List = []
         jobtracker.register_tracker(self)
@@ -150,6 +154,7 @@ class TaskTracker:
         if not self.started or self._oob_pending:
             return
         self._oob_pending = True
+        self._unpark()
         if self._heartbeat_event is not None:
             self._heartbeat_event.cancel()
         self._heartbeat_event = self.sim.schedule(
@@ -161,12 +166,14 @@ class TaskTracker:
 
     def _heartbeat(self, out_of_band: bool = False) -> None:
         self._oob_pending = False
-        self.heartbeats_sent += 1
         if not self._reportable and self.jobtracker.answer_idle(self):
             # Nothing to report and nothing the JobTracker could offer:
             # the heartbeat keeps its sequence number and its instant,
             # but builds no report and skips the walk.
             self._sequence += 1
+            if self._phase_origin is not None:
+                self._park()
+                return
         else:
             response = self.jobtracker.heartbeat(self.build_report(out_of_band))
             # Directives take one RPC hop to act on.  An empty response
@@ -185,36 +192,92 @@ class TaskTracker:
 
         Historical mode (``heartbeat_phases == 0``): one interval from
         now, so out-of-band heartbeats permanently shift the phase.
-        Phase-locked mode: the smallest grid instant strictly after
-        now, so the tracker snaps back onto its phase grid after every
-        out-of-band excursion and same-phase trackers keep sharing the
-        exact same firing instants.
+        Phase-locked mode: at :meth:`_next_grid_instant`.
         """
-        origin = self._phase_origin
-        if origin is None:
+        if self._phase_origin is None:
             self._heartbeat_event = self.sim.schedule(
                 self.config.heartbeat_interval,
                 self._heartbeat,
                 label=self._heartbeat_label,
             )
             return
+        self._heartbeat_event = self.sim.schedule_at(
+            self._next_grid_instant(),
+            self._heartbeat,
+            label=self._heartbeat_label,
+        )
+
+    def _next_grid_instant(self) -> float:
+        """The smallest grid instant past now + ``rpc_latency``, with
+        ``_phase_tick`` advanced to it.
+
+        The tracker snaps back onto its phase grid after every
+        out-of-band excursion, so same-phase trackers keep sharing the
+        exact same firing instants.  Directives granted against this
+        heartbeat's report land one rpc hop out; reporting again before
+        they occupy their slots would double-book them (the historical
+        paths keep the same invariant: oob_heartbeat_latency >
+        rpc_latency and periodic gaps of a full interval).  So the next
+        grid point must clear now + rpc_latency, not merely now.
+        """
+        origin = self._phase_origin
         interval = self.config.heartbeat_interval
         tick = self._phase_tick
-        # Directives granted against this heartbeat's report land one
-        # rpc hop out; reporting again before they occupy their slots
-        # would double-book them (the historical paths keep the same
-        # invariant: oob_heartbeat_latency > rpc_latency and periodic
-        # gaps of a full interval).  So the next grid point must clear
-        # now + rpc_latency, not merely now.
         horizon = self.sim.now + self.config.rpc_latency
         while origin + interval * tick <= horizon:
             tick += 1
         self._phase_tick = tick
-        self._heartbeat_event = self.sim.schedule_at(
-            origin + interval * tick,
-            self._heartbeat,
-            label=self._heartbeat_label,
-        )
+        return origin + interval * tick
+
+    def _park(self) -> None:
+        """Idle on the phase grid: ride a parked run, not an own event.
+        The newest run may stand for it when due at the same instant
+        with nothing sequenced since (an own event would fire right
+        after it); otherwise this tracker opens a new run."""
+        when = self._next_grid_instant()
+        jobtracker = self.jobtracker
+        run = jobtracker.parked_run
+        if (run is not None and run.handle.time == when
+                and self.sim.is_latest(run.handle)):
+            run.members.append(self)
+            run.live += 1
+        else:
+            run = jobtracker.parked_run = ParkedRun(self, when)
+        self._run = run
+        self._heartbeat_event = None
+
+    def _unpark(self) -> None:
+        """Leave the parked run (an out-of-band heartbeat or shutdown
+        takes this tracker's next heartbeat off the grid)."""
+        run = self._run
+        if run is None:
+            return
+        self._run = None
+        self._woken = False
+        run.live -= 1
+        handle = run.handle
+        if not run.live:
+            handle.cancel()
+        elif handle.label == self._heartbeat_label:
+            # The engine records the run's pop under its first live
+            # member's label.
+            handle.label = next(
+                m._heartbeat_label for m in run.members if m._run is run
+            )
+
+    def _idle_fire(self) -> None:
+        """A parked heartbeat that cannot walk: the idle answer's
+        bookkeeping, then park again.  A parked node runs no attempt,
+        so its suspended total cannot raise the peak: it is not summed."""
+        self.jobtracker._note_heartbeat(self.host, 0)
+        self._sequence += 1
+        self._park()
+
+    def wake(self) -> None:
+        """A tip bound here awaits a directive (or a launch landed): a
+        parked heartbeat must walk instead of answering idle."""
+        if self._run is not None:
+            self._woken = True
 
     def build_report(self, out_of_band: bool = False) -> HeartbeatReport:
         """Snapshot status for the JobTracker."""
@@ -295,6 +358,7 @@ class TaskTracker:
         )
         self.attempts[attempt.attempt_id] = attempt
         self._reportable[attempt.attempt_id] = attempt
+        self.wake()
         self._occupy_slot(attempt)
         attempt.launch()
         for callback in list(self.launch_callbacks):
@@ -371,6 +435,7 @@ class TaskTracker:
         bookkeeping, as real Hadoop does on tracker expiry).
         """
         self.started = False
+        self._unpark()
         if self._heartbeat_event is not None:
             self._heartbeat_event.cancel()
             self._heartbeat_event = None
@@ -430,3 +495,46 @@ class TaskTracker:
             f"TaskTracker(host={self.host!r}, "
             f"free_slots={self.free_map_slots}/{self.map_slots})"
         )
+
+
+class ParkedRun:
+    """One engine event standing for the periodic heartbeats of idle
+    phase-locked trackers due back to back at one grid instant.
+
+    Each member counts as one fired event (the engine's pop for the
+    first live member, :meth:`Simulation.note_fired` for the others).
+    A member walks only while the JobTracker might offer something or
+    after a wake; the others get the idle answer's bookkeeping alone.
+    """
+
+    __slots__ = ("handle", "members", "live")
+
+    def __init__(self, tracker: TaskTracker, time: float):
+        self.members: List[TaskTracker] = [tracker]
+        #: members still parked here (the handle is cancelled at zero)
+        self.live = 1
+        self.handle = tracker.sim.schedule_at(
+            time, self.fire, label=tracker._heartbeat_label
+        )
+
+    def fire(self) -> None:
+        jobtracker = self.members[0].jobtracker
+        sim = jobtracker.sim
+        # Idle members change no state the predicate reads, so it is
+        # asked again only after a member walked.
+        offers_nothing = jobtracker.offers_nothing()
+        first = True
+        for tracker in self.members:
+            if tracker._run is not self:
+                continue
+            tracker._run = None
+            if first:
+                first = False
+            else:
+                sim.note_fired(tracker._heartbeat_label)
+            if not offers_nothing or tracker._woken:
+                tracker._woken = False
+                tracker._heartbeat()
+                offers_nothing = jobtracker.offers_nothing()
+            else:
+                tracker._idle_fire()

@@ -227,9 +227,26 @@ class Simulation:
             return True
         return False
 
+    def note_fired(self, label: str) -> None:
+        """Count one more event fired at ``now`` under ``label``, from a
+        callback standing for several events due back to back: the
+        count, engine trace record and profile label :meth:`step` gives
+        a popped event."""
+        self._events_fired += 1
+        self.trace_log.record_fired(self.now, label)
+        if self._profile:
+            self._label_counts[label] = self._label_counts.get(label, 0) + 1
+
+    def is_latest(self, handle: EventHandle) -> bool:
+        """True when ``handle`` is pending and nothing was sequenced
+        after it (scheduled, or moved by a reschedule): an event
+        scheduled now at ``handle.time`` would fire right after it."""
+        return handle.pending and handle.seq == self._seq - 1
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the event heap drains, ``until`` is reached, or
-        ``max_events`` events have fired.
+        ``max_events`` heap entries have fired (a callback that counts
+        more events through :meth:`note_fired` is one entry).
 
         ``until`` is an absolute virtual time; when given, the clock is
         advanced to exactly ``until`` even if no event fires there, so

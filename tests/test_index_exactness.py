@@ -10,7 +10,10 @@ Three shortcuts answer heartbeats in place of a fresh computation:
   return no action;
 * the idle answer -- :meth:`JobTracker.answer_idle` replies to a
   tracker with nothing to report, without a report or a walk, when
-  the same predicate holds.
+  the same predicate holds;
+* the idle fire -- a parked run answers each member it does not walk
+  with the idle answer's bookkeeping alone
+  (``TaskTracker._idle_fire``), without asking the predicate.
 
 Each run below wraps ``JobTracker.heartbeat``, ``JobTracker._walk``
 and ``JobTracker.answer_idle``.  Every report's ``suspended_bytes``
@@ -25,7 +28,10 @@ checks repair a copy and leave the run's own notes pending, so a note
 a shortcut must not ignore stays visible to the next heartbeat.  The
 shadow walk does repair the run's index, which moves no result:
 repairs read only cached, pure job views.  The idle shadow leaves the
-tracker's sequence number as the idle answer left it.
+tracker's sequence number as the idle answer left it.  At every idle
+fire the predicate must hold for the member's host, the member must
+have nothing to report, and its node's suspended total must not exceed
+the JobTracker's peak (the idle fire does not sum it).
 
 Every experiment family of ``tests/test_elision_differential.py`` is
 covered, in the studies' own configuration, plus a scale cell that
@@ -43,6 +49,7 @@ from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.jobtracker import JobTracker
+from repro.hadoop.tasktracker import TaskTracker
 from repro.schedulers.hfsp import HfspScheduler
 from repro.units import MB
 
@@ -94,6 +101,7 @@ class Checks:
     walks = 0
     skipped_walks = 0
     idle_answers = 0
+    idle_fires = 0
 
 
 def checked_run(monkeypatch, fn):
@@ -101,6 +109,7 @@ def checked_run(monkeypatch, fn):
     heartbeat = JobTracker.heartbeat
     walk = JobTracker._walk
     answer_idle = JobTracker.answer_idle
+    idle_fire = TaskTracker._idle_fire
 
     def counted_walk(self, report):
         checks.walks += 1
@@ -133,10 +142,19 @@ def checked_run(monkeypatch, fn):
         checks.idle_answers += 1
         return True
 
+    def checked_idle_fire(self):
+        jobtracker = self.jobtracker
+        assert jobtracker._walk_is_empty(self.host)
+        assert not self._reportable
+        assert self.kernel.suspended_bytes() <= jobtracker.peak_suspended_bytes
+        checks.idle_fires += 1
+        idle_fire(self)
+
     with monkeypatch.context() as patch:
         patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
         patch.setattr(JobTracker, "_walk", counted_walk)
         patch.setattr(JobTracker, "answer_idle", checked_answer_idle)
+        patch.setattr(TaskTracker, "_idle_fire", checked_idle_fire)
         fn()
     assert checks.heartbeats > 0
     return checks
@@ -151,6 +169,7 @@ def test_scale_cell(monkeypatch, scenario):
     ))
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
+    assert checks.idle_fires > 0
 
 
 def test_scale_cell_drifting_heartbeats(monkeypatch):
@@ -161,6 +180,7 @@ def test_scale_cell_drifting_heartbeats(monkeypatch):
     ))
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
+    assert checks.idle_fires == 0  # no grid, no parked run
 
 
 def test_scale_cell_with_killed_jobs(monkeypatch):
@@ -189,6 +209,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
     checks = checked_run(monkeypatch, run)
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
+    assert checks.idle_fires > 0
 
 
 def test_shuffle_cell(monkeypatch):
@@ -198,6 +219,7 @@ def test_shuffle_cell(monkeypatch):
         oversubscription=2.5, seed=seed, heartbeat_phases=4,
     ))
     assert checks.skipped_walks > 0
+    assert checks.idle_fires > 0
 
 
 @pytest.mark.parametrize(
@@ -213,6 +235,7 @@ def test_memscale_cell(monkeypatch, mode):
         mode=mode, trackers=15, num_jobs=8, seed=seed, heartbeat_phases=4,
     ))
     assert checks.skipped_walks > 0
+    assert checks.idle_fires > 0
 
 
 @pytest.mark.parametrize("primitive", ["suspend", "kill"])
@@ -384,3 +407,43 @@ def test_last_work_tip_success_launches_cleanup_on_the_same_heartbeat():
             is_cleanup=True,
         )
     ]
+
+
+def test_work_found_by_a_parked_member_reaches_the_members_after_it(
+        monkeypatch):
+    """A member that walks can change what the JobTracker offers, so a
+    parked run asks again before it answers the next member idle.
+    Two idle trackers share one run; the first is woken, and its
+    heartbeat submits a three-task job (one map slot each).  It takes
+    a map task, and the second member, in the same run, must walk and
+    take another -- as its own heartbeat event would."""
+    from tests.conftest import quick_cluster
+    from tests.test_parking_differential import job_spec
+
+    cluster = quick_cluster(
+        num_nodes=2, scheduler=HfspScheduler(), heartbeat_phases=1,
+        map_slots=1, run_job_setup_cleanup=False,
+    )
+    jobtracker = cluster.jobtracker
+    cluster.start()
+    cluster.sim.run(until=1.0)
+    first, second = cluster.trackers.values()
+    run = jobtracker.parked_run
+    assert first._run is run and second._run is run
+    assert run.members == [first, second]
+
+    heartbeat = TaskTracker._heartbeat
+
+    def submitting_heartbeat(self, out_of_band=False):
+        if self is first and not jobtracker.jobs:
+            jobtracker.submit_job(job_spec("found", 3))
+        heartbeat(self, out_of_band)
+
+    first.wake()
+    with monkeypatch.context() as patch:
+        patch.setattr(TaskTracker, "_heartbeat", submitting_heartbeat)
+        checks = checked_run(monkeypatch, lambda: cluster.sim.run(until=1.05))
+    responses = [(rec.time, rec.fields["tracker"])
+                 for rec in cluster.sim.trace_log.find("jt.response")]
+    assert responses == [(1.05, first.host), (1.05, second.host)]
+    assert checks.idle_fires == 0

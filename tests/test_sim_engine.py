@@ -321,6 +321,69 @@ class TestRunControl:
         assert sim.events_fired == 4
 
 
+class TestStandInEvents:
+    """``note_fired`` and ``is_latest``: one callback standing for
+    several events due back to back, observed as those events."""
+
+    def test_note_fired_counts_records_and_profiles(self):
+        sim = Simulation(trace=True, profile=True)
+        sim.schedule(2.0, lambda: (sim.note_fired("b"), sim.note_fired("c")),
+                     label="a")
+        sim.run()
+        assert sim.events_fired == 3
+        assert [(rec.time, rec.label, rec.engine)
+                for rec in sim.trace_log] == [
+            (2.0, "a", True), (2.0, "b", True), (2.0, "c", True)]
+        assert sim.label_counts == {"a": 1, "b": 1, "c": 1}
+
+    def test_a_stand_in_observes_like_the_events_it_replaces(self):
+        def observed(stand_in):
+            sim = Simulation(trace=True, profile=True)
+            if stand_in:
+                sim.schedule(1.0, lambda: sim.note_fired("y"), label="x")
+            else:
+                sim.schedule(1.0, lambda: None, label="x")
+                sim.schedule(1.0, lambda: None, label="y")
+            sim.run()
+            return sim.trace_log.digest(), sim.events_fired, sim.label_counts
+
+        assert observed(True) == observed(False)
+
+    def test_note_fired_reaches_subscribers_with_the_log_off(self):
+        sim = Simulation()
+        seen = []
+        sim.trace_log.subscribe(seen.append)
+        sim.note_fired("quiet")
+        assert [(rec.label, rec.engine) for rec in seen] == [("quiet", True)]
+        assert len(sim.trace_log) == 0
+        assert sim.label_counts == {}  # not profiling
+
+    def test_is_latest_until_anything_is_sequenced(self):
+        sim = Simulation()
+        other = sim.schedule(9.0, lambda: None)
+        handle = sim.schedule_at(5.0, lambda: None)
+        assert sim.is_latest(handle)
+        assert not sim.is_latest(other)
+        # a same-time reschedule sequences nothing
+        sim.reschedule(other, 9.0)
+        assert sim.is_latest(handle)
+        sim.reschedule(other, 7.0)
+        assert not sim.is_latest(handle)
+        later = sim.schedule(1.0, lambda: None)
+        assert sim.is_latest(later)
+        sim.schedule(1.0, lambda: None)
+        assert not sim.is_latest(later)
+
+    def test_is_latest_is_false_once_not_pending(self):
+        sim = Simulation()
+        cancelled = sim.schedule(1.0, lambda: None)
+        cancelled.cancel()
+        assert not sim.is_latest(cancelled)
+        fired = sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert not sim.is_latest(fired)
+
+
 class TestDeterminism:
     def test_engine_trace_records_labels(self):
         sim = Simulation(trace=True)

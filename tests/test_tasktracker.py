@@ -94,7 +94,7 @@ class TestHeartbeats:
         cluster.start()
         cluster.sim.run(until=5.6)
         tracker = cluster.trackers["node00"]
-        assert tracker.heartbeats_sent >= 5
+        assert tracker._sequence >= 5
 
     def test_oob_heartbeat_on_completion(self):
         cluster = quick_cluster()

@@ -226,23 +226,29 @@ def _steady_scale_cell(trackers: int, num_jobs: int) -> dict:
 
     Runs unprofiled, so its wall is the heartbeat path's own: the
     engine's per-label attribution would add overhead the wall gate
-    has no use for.  The sketch digest pins what the cell computed.
+    has no use for.  The sketch digest pins what the cell computed;
+    ``engine_ops`` is read off the driven cluster's engine, where idle
+    trackers parked on the grid cost no schedule call each.
     """
     import hashlib
 
     from repro.experiments.runner import derive_seed
-    from repro.experiments.scale_study import _run_once
+    from repro.experiments.scale_study import _build_run, _finish_run
 
-    out = _run_once(
-        scenario="steady", primitive_name="suspend", trackers=trackers,
-        num_jobs=num_jobs,
-        seed=derive_seed(9000, "scale", "steady", trackers, "suspend", 0),
+    cluster, _ = _build_run(
+        "steady", "suspend", trackers, num_jobs,
+        derive_seed(9000, "scale", "steady", trackers, "suspend", 0),
         heartbeat_phases=4,
     )
+    out = _finish_run(cluster, {
+        "scenario": "steady", "primitive_name": "suspend",
+        "trackers": trackers, "num_jobs": num_jobs,
+    })
     sketch = json.dumps(out["sketch"], sort_keys=True).encode("utf-8")
+    sim = cluster.sim
     return {
         "events": int(out["events"]),
-        "engine_ops": 0,
+        "engine_ops": sim.events_scheduled + sim.reschedules,
         "sketch_digest": hashlib.sha256(sketch).hexdigest()[:16],
     }
 
