@@ -264,7 +264,16 @@ class JobTracker:
             label="jt.expiry-check",
         )
 
+    def settle_heartbeats(self) -> None:
+        """Bring up to date the heartbeat bookkeeping parked trackers
+        keep lazily (``last_heartbeat`` here, each tracker's sequence
+        number and phase tick): call before reading it."""
+        for tracker in self.trackers.values():
+            if tracker._run is not None:
+                tracker._settle()
+
     def _check_tracker_expiry(self) -> None:
+        self.settle_heartbeats()
         deadline = self.sim.now - self.config.tracker_expiry_interval
         expired = [
             host

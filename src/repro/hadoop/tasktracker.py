@@ -17,6 +17,7 @@ temporary outputs of the killed task").
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import SlotExhaustedError, UnknownTaskError
@@ -86,9 +87,13 @@ class TaskTracker:
         self._phase_origin: Optional[float] = None
         self._phase_tick = 0
         #: the parked run this idle phase-locked tracker's next periodic
-        #: heartbeat rides (``_heartbeat_event`` is None meanwhile), and
-        #: whether a wake there (see :meth:`wake`) makes that one walk
+        #: heartbeat rides (``_heartbeat_event`` is None meanwhile), its
+        #: slot in the run's members, the run's whole-fire count when it
+        #: joined or last settled (see :meth:`_settle`), and whether a
+        #: wake there (see :meth:`wake`) makes that one walk
         self._run: Optional[ParkedRun] = None
+        self._pos = 0
+        self._mark = 0
         self._woken = False
         self.started = False
         #: callbacks fired with each TaskAttempt right after launch
@@ -222,11 +227,10 @@ class TaskTracker:
         """
         origin = self._phase_origin
         interval = self.config.heartbeat_interval
-        tick = self._phase_tick
-        horizon = self.sim.now + self.config.rpc_latency
-        while origin + interval * tick <= horizon:
-            tick += 1
-        self._phase_tick = tick
+        tick = self._phase_tick = _grid_tick(
+            origin, interval, self._phase_tick,
+            self.sim.now + self.config.rpc_latency,
+        )
         return origin + interval * tick
 
     def _park(self) -> None:
@@ -239,11 +243,9 @@ class TaskTracker:
         run = jobtracker.parked_run
         if (run is not None and run.handle.time == when
                 and self.sim.is_latest(run.handle)):
-            run.members.append(self)
-            run.live += 1
+            run.join(self)
         else:
-            run = jobtracker.parked_run = ParkedRun(self, when)
-        self._run = run
+            jobtracker.parked_run = ParkedRun(self, when)
         self._heartbeat_event = None
 
     def _unpark(self) -> None:
@@ -252,8 +254,10 @@ class TaskTracker:
         run = self._run
         if run is None:
             return
+        self._settle()
         self._run = None
         self._woken = False
+        run.members[self._pos] = None
         run.live -= 1
         handle = run.handle
         if not run.live:
@@ -262,8 +266,20 @@ class TaskTracker:
             # The engine records the run's pop under its first live
             # member's label.
             handle.label = next(
-                m._heartbeat_label for m in run.members if m._run is run
+                m._heartbeat_label for m in run.members if m is not None
             )
+
+    def _settle(self) -> None:
+        """Apply the whole fires of this tracker's run since it joined
+        or last settled: one heartbeat each, the last at the run's last
+        fire, with the phase tick the run advanced to."""
+        run = self._run
+        behind = run.fires - self._mark
+        if behind:
+            self._mark = run.fires
+            self._sequence += behind
+            self._phase_tick = run.tick
+            self.jobtracker.last_heartbeat[self.host] = run.last_fire
 
     def _idle_fire(self) -> None:
         """A parked heartbeat that cannot walk: the idle answer's
@@ -276,8 +292,10 @@ class TaskTracker:
     def wake(self) -> None:
         """A tip bound here awaits a directive (or a launch landed): a
         parked heartbeat must walk instead of answering idle."""
-        if self._run is not None:
+        run = self._run
+        if run is not None:
             self._woken = True
+            run.origin = None  # the next fire walks members one by one
 
     def build_report(self, out_of_band: bool = False) -> HeartbeatReport:
         """Snapshot status for the JobTracker."""
@@ -497,36 +515,76 @@ class TaskTracker:
         )
 
 
+def _grid_tick(origin: float, interval: float, tick: int,
+               horizon: float) -> int:
+    """The first tick from ``tick`` on whose grid instant
+    ``origin + interval * tick`` lies past ``horizon``."""
+    while origin + interval * tick <= horizon:
+        tick += 1
+    return tick
+
+
 class ParkedRun:
     """One engine event standing for the periodic heartbeats of idle
     phase-locked trackers due back to back at one grid instant.
 
     Each member counts as one fired event (the engine's pop for the
     first live member, :meth:`Simulation.note_fired` for the others).
-    A member walks only while the JobTracker might offer something or
-    after a wake; the others get the idle answer's bookkeeping alone.
+    When the JobTracker offers nothing, no member was woken and all
+    members share one phase origin, the run fires whole
+    (:meth:`_fire_whole`): it re-arms itself at the next grid instant,
+    and each member's ``_sequence``, ``_phase_tick`` and
+    ``last_heartbeat`` follow lazily from ``fires``, ``tick`` and
+    ``last_fire`` (``TaskTracker._settle``).  Otherwise every member
+    leaves and walks, or gets the idle answer's bookkeeping, one by one.
     """
 
-    __slots__ = ("handle", "members", "live")
+    __slots__ = ("jobtracker", "handle", "members", "live", "origin",
+                 "tick", "fires", "last_fire")
 
     def __init__(self, tracker: TaskTracker, time: float):
-        self.members: List[TaskTracker] = [tracker]
+        self.jobtracker = tracker.jobtracker
+        #: members in arm order; a slot is None once its member left
+        self.members: List[Optional[TaskTracker]] = []
         #: members still parked here (the handle is cancelled at zero)
-        self.live = 1
+        self.live = 0
+        #: the members' shared phase origin, None once they differ or
+        #: one was woken (the run then never fires whole again)
+        self.origin = tracker._phase_origin
+        #: the grid tick of the pending instant, the whole fires so
+        #: far and the time of the last one
+        self.tick = tracker._phase_tick
+        self.fires = 0
+        self.last_fire = 0.0
+        self.join(tracker)
         self.handle = tracker.sim.schedule_at(
             time, self.fire, label=tracker._heartbeat_label
         )
 
+    def join(self, tracker: TaskTracker) -> None:
+        """Park ``tracker`` here, after the current members."""
+        tracker._run = self
+        tracker._pos = len(self.members)
+        tracker._mark = self.fires
+        self.members.append(tracker)
+        self.live += 1
+        if tracker._phase_origin != self.origin:
+            self.origin = None
+
     def fire(self) -> None:
-        jobtracker = self.members[0].jobtracker
-        sim = jobtracker.sim
+        jobtracker = self.jobtracker
         # Idle members change no state the predicate reads, so it is
         # asked again only after a member walked.
         offers_nothing = jobtracker.offers_nothing()
+        if offers_nothing and self.origin is not None:
+            self._fire_whole()
+            return
+        sim = jobtracker.sim
         first = True
         for tracker in self.members:
-            if tracker._run is not self:
+            if tracker is None:
                 continue
+            tracker._settle()
             tracker._run = None
             if first:
                 first = False
@@ -538,3 +596,38 @@ class ParkedRun:
                 offers_nothing = jobtracker.offers_nothing()
             else:
                 tracker._idle_fire()
+
+    def _fire_whole(self) -> None:
+        """Every member's idle heartbeat at once: the count and
+        bookkeeping the member loop would make, then re-arm at the next
+        grid instant -- or join the newest run due there, as each
+        member re-parking one by one would."""
+        jobtracker = self.jobtracker
+        sim = jobtracker.sim
+        config = jobtracker.config
+        jobtracker.heartbeats_received += self.live
+        sim.note_fired_many(self.live - 1, islice(
+            (m._heartbeat_label for m in self.members if m is not None),
+            1, None,
+        ))
+        self.fires += 1
+        self.last_fire = sim.now
+        self.tick = _grid_tick(self.origin, config.heartbeat_interval,
+                               self.tick, sim.now + config.rpc_latency)
+        when = self.origin + config.heartbeat_interval * self.tick
+        run = jobtracker.parked_run
+        if (run is not None and run.handle.time == when
+                and sim.is_latest(run.handle)):
+            for tracker in self.members:
+                if tracker is not None:
+                    tracker._settle()
+                    run.join(tracker)
+            return
+        self.handle = sim.schedule_at(when, self.fire,
+                                      label=self.handle.label)
+        jobtracker.parked_run = self
+        if len(self.members) > 2 * self.live:
+            # Drop the empty slots; at least half the list was empty.
+            self.members = [m for m in self.members if m is not None]
+            for pos, tracker in enumerate(self.members):
+                tracker._pos = pos

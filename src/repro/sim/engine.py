@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import time as _wallclock
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingInPastError, SimulationError
 from repro.sim.events import EventHandle
@@ -236,6 +236,16 @@ class Simulation:
         self.trace_log.record_fired(self.now, label)
         if self._profile:
             self._label_counts[label] = self._label_counts.get(label, 0) + 1
+
+    def note_fired_many(self, count: int, labels: Iterable[str]) -> None:
+        """:meth:`note_fired` for ``count`` events at once, labelled
+        ``labels`` in order; the labels are iterated only when the trace
+        log is observed or the engine profiles."""
+        if self._profile or self.trace_log.observed:
+            for label in labels:
+                self.note_fired(label)
+        else:
+            self._events_fired += count
 
     def is_latest(self, handle: EventHandle) -> bool:
         """True when ``handle`` is pending and nothing was sequenced

@@ -76,6 +76,11 @@ class TraceLog:
             return
         self._records = deque(self._records, maxlen=capacity)
 
+    @property
+    def observed(self) -> bool:
+        """True when a record would be stored or reach a subscriber."""
+        return self.enabled or bool(self._subscribers)
+
     def record(self, time: float, label: str, **fields: Any) -> None:
         """Append a domain record (if enabled) and notify subscribers."""
         if self.enabled or self._subscribers:

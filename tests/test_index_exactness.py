@@ -13,7 +13,9 @@ Three shortcuts answer heartbeats in place of a fresh computation:
   the same predicate holds;
 * the idle fire -- a parked run answers each member it does not walk
   with the idle answer's bookkeeping alone
-  (``TaskTracker._idle_fire``), without asking the predicate.
+  (``TaskTracker._idle_fire``), without asking the predicate;
+* the whole fire -- a parked run none of whose members may walk
+  answers them all at once (``ParkedRun._fire_whole``).
 
 Each run below wraps ``JobTracker.heartbeat``, ``JobTracker._walk``
 and ``JobTracker.answer_idle``.  Every report's ``suspended_bytes``
@@ -29,9 +31,10 @@ a shortcut must not ignore stays visible to the next heartbeat.  The
 shadow walk does repair the run's index, which moves no result:
 repairs read only cached, pure job views.  The idle shadow leaves the
 tracker's sequence number as the idle answer left it.  At every idle
-fire the predicate must hold for the member's host, the member must
-have nothing to report, and its node's suspended total must not exceed
-the JobTracker's peak (the idle fire does not sum it).
+fire, and for every live member at every whole fire, the predicate
+must hold for the member's host, the member must have nothing to
+report, and its node's suspended total must not exceed the
+JobTracker's peak (neither fire sums it).
 
 Every experiment family of ``tests/test_elision_differential.py`` is
 covered, in the studies' own configuration, plus a scale cell that
@@ -49,7 +52,7 @@ from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.heartbeat import JobIndex
 from repro.hadoop.jobtracker import JobTracker
-from repro.hadoop.tasktracker import TaskTracker
+from repro.hadoop.tasktracker import ParkedRun, TaskTracker
 from repro.schedulers.hfsp import HfspScheduler
 from repro.units import MB
 
@@ -102,6 +105,11 @@ class Checks:
     skipped_walks = 0
     idle_answers = 0
     idle_fires = 0
+    #: parked run fires, the members they carried, and the fires that
+    #: were whole
+    run_fires = 0
+    member_heartbeats = 0
+    whole_fires = 0
 
 
 def checked_run(monkeypatch, fn):
@@ -110,6 +118,8 @@ def checked_run(monkeypatch, fn):
     walk = JobTracker._walk
     answer_idle = JobTracker.answer_idle
     idle_fire = TaskTracker._idle_fire
+    run_fire = ParkedRun.fire
+    fire_whole = ParkedRun._fire_whole
 
     def counted_walk(self, report):
         checks.walks += 1
@@ -142,19 +152,37 @@ def checked_run(monkeypatch, fn):
         checks.idle_answers += 1
         return True
 
+    def assert_idle(tracker):
+        jobtracker = tracker.jobtracker
+        assert jobtracker._walk_is_empty(tracker.host)
+        assert not tracker._reportable
+        assert (tracker.kernel.suspended_bytes()
+                <= jobtracker.peak_suspended_bytes)
+
     def checked_idle_fire(self):
-        jobtracker = self.jobtracker
-        assert jobtracker._walk_is_empty(self.host)
-        assert not self._reportable
-        assert self.kernel.suspended_bytes() <= jobtracker.peak_suspended_bytes
+        assert_idle(self)
         checks.idle_fires += 1
         idle_fire(self)
+
+    def counted_run_fire(self):
+        checks.run_fires += 1
+        checks.member_heartbeats += self.live
+        run_fire(self)
+
+    def checked_fire_whole(self):
+        for tracker in self.members:
+            if tracker is not None:
+                assert_idle(tracker)
+        checks.whole_fires += 1
+        fire_whole(self)
 
     with monkeypatch.context() as patch:
         patch.setattr(JobTracker, "heartbeat", checked_heartbeat)
         patch.setattr(JobTracker, "_walk", counted_walk)
         patch.setattr(JobTracker, "answer_idle", checked_answer_idle)
         patch.setattr(TaskTracker, "_idle_fire", checked_idle_fire)
+        patch.setattr(ParkedRun, "fire", counted_run_fire)
+        patch.setattr(ParkedRun, "_fire_whole", checked_fire_whole)
         fn()
     assert checks.heartbeats > 0
     return checks
@@ -170,6 +198,7 @@ def test_scale_cell(monkeypatch, scenario):
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
     assert checks.idle_fires > 0
+    assert checks.whole_fires > 0
 
 
 def test_scale_cell_drifting_heartbeats(monkeypatch):
@@ -181,6 +210,21 @@ def test_scale_cell_drifting_heartbeats(monkeypatch):
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
     assert checks.idle_fires == 0  # no grid, no parked run
+    assert checks.run_fires == checks.whole_fires == 0
+
+
+def test_parked_runs_mostly_fire_whole(monkeypatch):
+    """The point of parking: idle members cost a run fire, not a walk
+    of their own.  On a phase-locked steady cell at least 90% of run
+    fires are whole, and at most 20% of the members' heartbeats go
+    through the member loop's idle fire."""
+    seed = derive_seed(9000, "scale", "steady", 15, "suspend", 0)
+    checks = checked_run(monkeypatch, lambda: scale_run_once(
+        scenario="steady", primitive_name="suspend", trackers=15,
+        num_jobs=10, seed=seed, heartbeat_phases=4,
+    ))
+    assert checks.whole_fires >= 0.9 * checks.run_fires > 0
+    assert checks.idle_fires <= 0.2 * checks.member_heartbeats
 
 
 def test_scale_cell_with_killed_jobs(monkeypatch):
@@ -210,6 +254,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
     assert checks.idle_answers > 0
     assert checks.skipped_walks > 0
     assert checks.idle_fires > 0
+    assert checks.whole_fires > 0
 
 
 def test_shuffle_cell(monkeypatch):
@@ -220,6 +265,7 @@ def test_shuffle_cell(monkeypatch):
     ))
     assert checks.skipped_walks > 0
     assert checks.idle_fires > 0
+    assert checks.whole_fires > 0
 
 
 @pytest.mark.parametrize(
@@ -236,6 +282,7 @@ def test_memscale_cell(monkeypatch, mode):
     ))
     assert checks.skipped_walks > 0
     assert checks.idle_fires > 0
+    assert checks.whole_fires > 0
 
 
 @pytest.mark.parametrize("primitive", ["suspend", "kill"])

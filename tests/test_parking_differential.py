@@ -20,14 +20,24 @@ everything an observer can see, exactly:
 Only the engine's schedule calls drop, and each phase-locked cell
 checks that they did.
 
+A run whose members all get the idle answer fires *whole*
+(``ParkedRun._fire_whole``): it re-arms itself once and keeps its
+members' counters lazily.  Each run is made a third time with every
+run walking its members one by one (:func:`member_loop_fire`), and the
+whole fires must make exactly the schedule calls that walk makes.
+Lazy counters are read through ``JobTracker.settle_heartbeats``.
+
 Two groups of runs: the phase-locked study cells, and seeded scripts
 for the paths those cells never reach -- crashes, restarts and
 expiries of parked trackers, out-of-band heartbeats on parked
 trackers (kill-cleanup's included), non-heartbeat events on grid
-instants, a checkpoint/restore with live runs, and directives and
-launches reaching a parked host.
+instants, a checkpoint/restore with live runs, directives and
+launches reaching a parked host, and the whole fire's own paths:
+rejoining a run, merging into a run, mixed phase origins, compaction,
+and an expiry check reading lazily kept heartbeat times.
 """
 
+import functools
 from collections import Counter
 
 import pytest
@@ -42,7 +52,8 @@ from repro.experiments.runner import derive_seed
 from repro.experiments.scale_study import _run_once as scale_run_once
 from repro.experiments.shuffle_study import _run_once as shuffle_run_once
 from repro.hadoop.cluster import HadoopCluster
-from repro.hadoop.tasktracker import TaskTracker
+from repro.hadoop.jobtracker import JobTracker
+from repro.hadoop.tasktracker import ParkedRun, TaskTracker
 from repro.schedulers.hfsp import HfspScheduler
 from repro.units import MB
 from repro.workloads.jobspec import JobSpec, TaskSpec
@@ -53,6 +64,7 @@ from tests.legacy_heartbeat import unparked_heartbeat
 def observation(cluster):
     """Everything the suite compares, for one cluster."""
     sim, jobtracker = cluster.sim, cluster.jobtracker
+    jobtracker.settle_heartbeats()
     trackers = cluster.trackers.values()
     return {
         "digest": sim.trace_log.digest(),
@@ -71,15 +83,40 @@ def observation(cluster):
     }
 
 
-def assert_same(parked, unparked, saves=True):
+_fire = ParkedRun.fire
+
+
+def member_loop_fire(run):
+    """A run fire that never fires whole: every member walks, or gets
+    the idle answer's bookkeeping, one by one."""
+    run.origin = None
+    _fire(run)
+
+
+MODES = ("unparked", "member loop", "whole")
+
+
+def install(patch, mode):
+    """The heartbeat of ``mode``: ``unparked`` re-arms an event of its
+    own after every heartbeat, ``member loop`` parks but walks every
+    run member by member, ``whole`` is the heartbeat as it is."""
+    if mode == "unparked":
+        patch.setattr(TaskTracker, "_heartbeat", unparked_heartbeat)
+    elif mode == "member loop":
+        patch.setattr(ParkedRun, "fire", member_loop_fire)
+
+
+def assert_same(parked, unparked, looped, saves=True):
     """Equal observations; parking saved schedule calls (``saves``)
-    or at least added none."""
+    or at least added none, and whole fires made exactly the schedule
+    calls of the member loop."""
     old, new = observation(unparked), observation(parked)
     for key in old:
         assert new[key] == old[key], key
     scheduled = parked.sim.events_scheduled
     assert scheduled < unparked.sim.events_scheduled or (
         not saves and scheduled == unparked.sim.events_scheduled)
+    assert scheduled == looped.sim.events_scheduled
 
 
 def without_cluster(result):
@@ -89,9 +126,9 @@ def without_cluster(result):
             if key != "trace_cluster"}
 
 
-def observed_run(monkeypatch, fn, parking):
-    """``fn()`` with every cluster traced and profiled; without
-    ``parking`` the unparked heartbeat is installed."""
+def observed_run(monkeypatch, fn, mode):
+    """``fn()`` with every cluster traced and profiled, under the
+    heartbeat of ``mode`` (see :func:`install`)."""
     clusters = []
     build = HadoopCluster.__init__
 
@@ -103,19 +140,18 @@ def observed_run(monkeypatch, fn, parking):
 
     with monkeypatch.context() as patch:
         patch.setattr(HadoopCluster, "__init__", build_observed)
-        if not parking:
-            patch.setattr(TaskTracker, "_heartbeat", unparked_heartbeat)
+        install(patch, mode)
         result = fn()
     return without_cluster(result), clusters
 
 
 def assert_parking_equivalent(monkeypatch, fn, saves=True):
-    old, old_clusters = observed_run(monkeypatch, fn, parking=False)
-    new, new_clusters = observed_run(monkeypatch, fn, parking=True)
+    (old, old_clusters), (_, looped), (new, new_clusters) = (
+        observed_run(monkeypatch, fn, mode) for mode in MODES)
     assert new == old
-    assert len(new_clusters) == len(old_clusters) >= 1
-    for parked, unparked in zip(new_clusters, old_clusters):
-        assert_same(parked, unparked, saves)
+    assert len(new_clusters) == len(old_clusters) == len(looped) >= 1
+    for parked, unparked, loop in zip(new_clusters, old_clusters, looped):
+        assert_same(parked, unparked, loop, saves)
 
 
 # -- the phase-locked study cells ------------------------------------------------
@@ -256,10 +292,11 @@ SCRIPT = st.fixed_dictionaries({
 })
 
 
-def run_script(script, parking, coverage=None):
-    """One scripted cell up to ``HORIZON``; returns the final cluster
-    (with ``parking``, restored from a mid-run checkpoint when the
-    script has one).  ``coverage`` counts the parked-tracker paths."""
+def run_script(script, mode, coverage=None):
+    """One scripted cell up to ``HORIZON`` under the heartbeat of
+    ``mode``; returns the final cluster (in ``whole`` mode, restored
+    from a mid-run checkpoint when the script has one).  ``coverage``
+    counts the parked-tracker paths."""
     oob, rpc = script["latencies"]
     cluster = HadoopCluster(
         num_nodes=script["trackers"],
@@ -282,9 +319,9 @@ def run_script(script, parking, coverage=None):
     for op in script["ops"]:
         cluster.sim.schedule_at(op[1], operator, op, label="script")
     cluster.start()
-    if not parking:
+    if mode != "whole":
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(TaskTracker, "_heartbeat", unparked_heartbeat)
+            install(patch, mode)
             cluster.sim.run(until=HORIZON)
         return cluster
     with count_parked_paths(coverage if coverage is not None else Counter()):
@@ -299,7 +336,8 @@ def run_script(script, parking, coverage=None):
 
 
 class count_parked_paths:
-    """Counts, while active, the calls that found their tracker parked."""
+    """Counts, while active, the calls that found their tracker parked,
+    and the paths of runs that fire whole."""
 
     WRAPPED = {
         "request_oob_heartbeat": "oob on a parked tracker",
@@ -316,7 +354,63 @@ class count_parked_paths:
         for name, what in self.WRAPPED.items():
             self.patch.setattr(TaskTracker, name,
                                self._counting(getattr(TaskTracker, name), what))
+        coverage = self.coverage
+        #: when each tracker last joined each run
+        joined = {}
+
+        @self._wrap(ParkedRun, "join")
+        def join(method, run, tracker):
+            if (run, tracker) in joined:
+                coverage["rejoin of the same run"] += 1
+            joined[run, tracker] = tracker.sim.now
+            method(run, tracker)
+
+        @self._wrap(ParkedRun, "fire")
+        def fire(method, run):
+            origins = {m._phase_origin for m in run.members if m is not None}
+            if len(origins) > 1:
+                coverage["fire of a mixed-origin run"] += 1
+            method(run)
+
+        @self._wrap(ParkedRun, "_fire_whole")
+        def fire_whole(method, run):
+            compacts = len(run.members) > 2 * run.live
+            method(run)
+            if run.jobtracker.parked_run is not run:
+                coverage["whole fire merged into the newest run"] += 1
+            elif compacts:
+                coverage["compaction"] += 1
+
+        @self._wrap(JobTracker, "_check_tracker_expiry")
+        def check_expiry(method, jobtracker):
+            # Trackers parked in one run for longer than the expiry
+            # interval: only that run's whole fires kept them alive.
+            deadline = (jobtracker.sim.now
+                        - jobtracker.config.tracker_expiry_interval)
+            kept_lazily = any(
+                joined.get((tracker._run, tracker), deadline) < deadline
+                for tracker in jobtracker.trackers.values())
+            lost = jobtracker.trackers_lost
+            method(jobtracker)
+            if kept_lazily and jobtracker.trackers_lost > lost:
+                coverage["expiry beside long-parked trackers"] += 1
+
         return self
+
+    def _wrap(self, cls, name):
+        """Install the decorated ``counter(method, *args)`` as
+        ``cls.name``."""
+        method = getattr(cls, name)
+
+        def install(counter):
+            @functools.wraps(method)
+            def counted(*args):
+                return counter(method, *args)
+
+            self.patch.setattr(cls, name, counted)
+            return counter
+
+        return install
 
     def __exit__(self, *exc):
         self.patch.undo()
@@ -324,18 +418,22 @@ class count_parked_paths:
     def _counting(self, method, what):
         coverage = self.coverage
 
+        @functools.wraps(method)
         def counted(tracker, *args):
-            if tracker._run is not None:
+            run = tracker._run
+            if run is not None:
                 coverage[what] += 1
+                if run.fires:
+                    coverage[what + " in a run that fired whole"] += 1
             return method(tracker, *args)
 
         return counted
 
 
 def assert_script_equivalent(script, coverage=None):
-    unparked = run_script(script, parking=False)
-    parked = run_script(script, parking=True, coverage=coverage)
-    assert_same(parked, unparked, saves=False)
+    unparked, looped = (run_script(script, mode) for mode in MODES[:2])
+    parked = run_script(script, "whole", coverage=coverage)
+    assert_same(parked, unparked, looped, saves=False)
     return parked
 
 
@@ -387,6 +485,57 @@ def test_edge_scripts_reach_every_parked_path():
     for what in ("oob on a parked tracker", "cleanup done on a parked tracker",
                  "crash of a parked tracker", "parked at checkpoint"):
         assert coverage[what] > 0, (what, coverage)
+
+
+# -- the paths of a run that fires whole ------------------------------------------
+
+
+def idle_script(trackers, ops):
+    """One phase; the default jobs are done by ~15 s, and the trackers
+    idle in one run that fires whole from then on."""
+    return {"trackers": trackers, "phases": 1, "cleanup": 0.5,
+            "latencies": (0.05, 0.01), "ops": ops, "checkpoint": None}
+
+
+#: one script per path of a run that fires whole, by the coverage key
+#: it must reach
+WHOLE_FIRE_SCRIPTS = {
+    # An out-of-band heartbeat requested just before the run fires:
+    # the tracker leaves, the run re-arms without it, and the
+    # out-of-band heartbeat parks it back into that same run.
+    "rejoin of the same run": idle_script(
+        3, [("oob", grid_instant(0, 40) - 0.01, 1)]),
+    # One requested mid-interval: its heartbeat opens a second run for
+    # the next instant, which merges into the first when both fire.
+    "whole fire merged into the newest run": idle_script(
+        3, [("oob", 40.3, 1)]),
+    # node01 restarts at 24.0 onto the grid 24.05 + k, which coincides
+    # bit for bit with its peers' 0.05 + k: it joins their run with
+    # another phase origin, and the run walks its members from then on.
+    "fire of a mixed-origin run": idle_script(3, [("crash", 20.0, 1, 4.0)]),
+    # Three of four members leave between two fires.
+    "compaction": idle_script(4, [("oob", 40.3, host) for host in range(3)]),
+    # The launch-on-the-wire timeline, shifted so that node00's idle
+    # out-of-band heartbeat (10.052) parks it into node01's run right
+    # after that run fired whole (10.05); the launch lands at 10.057.
+    "wake of a parked tracker in a run that fired whole": {
+        "trackers": 2, "phases": 1, "cleanup": 0.5,
+        "latencies": (0.005, 0.02), "jobs": [(9.3, 1)],
+        "ops": [("oob", 9.5305, 0), ("oob", 10.041, 0), ("oob", 10.047, 0)],
+        "checkpoint": None},
+    # node02 crashes for good at 25 and expires while its peers have
+    # been parked in one run, firing whole, for more than the expiry
+    # interval.
+    "expiry beside long-parked trackers": idle_script(
+        3, [("crash", 25.0, 2, None)]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(WHOLE_FIRE_SCRIPTS))
+def test_whole_fire_paths(path):
+    coverage = Counter()
+    assert_script_equivalent(WHOLE_FIRE_SCRIPTS[path], coverage)
+    assert coverage[path] > 0, coverage
 
 
 # -- a directive and a launch reaching a parked host ----------------------------

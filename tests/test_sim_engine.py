@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchedulingInPastError, SimulationError
 from repro.sim.engine import Simulation
+from repro.sim.trace import TraceLog
 
 
 class TestScheduling:
@@ -357,6 +358,50 @@ class TestStandInEvents:
         assert [(rec.label, rec.engine) for rec in seen] == [("quiet", True)]
         assert len(sim.trace_log) == 0
         assert sim.label_counts == {}  # not profiling
+
+    @pytest.mark.parametrize("trace,subscribed,profile", [
+        (True, False, True), (False, True, False), (False, False, True),
+        (False, False, False)])
+    def test_note_fired_many_observes_like_note_fired(
+            self, trace, subscribed, profile):
+        def observed(many):
+            sim = Simulation(trace=trace, profile=profile)
+            seen = []
+            if subscribed:
+                sim.trace_log.subscribe(seen.append)
+            labels = ["b", "c", "b"]
+            if many:
+                fire = lambda: sim.note_fired_many(3, iter(labels))
+            else:
+                fire = lambda: [sim.note_fired(label) for label in labels]
+            sim.schedule(2.0, fire, label="a")
+            sim.run()
+            return (sim.events_fired, list(sim.trace_log), seen,
+                    sim.label_counts)
+
+        assert observed(True) == observed(False)
+        assert observed(True)[0] == 4
+
+    def test_note_fired_many_leaves_labels_alone_when_unobserved(self):
+        sim = Simulation()
+        consumed = []
+
+        def labels():
+            consumed.append(True)
+            yield "x"
+
+        sim.note_fired_many(1, labels())
+        assert sim.events_fired == 1
+        assert consumed == []
+
+    def test_trace_log_observed(self):
+        log = TraceLog(enabled=False)
+        assert not log.observed
+        log.enabled = True
+        assert log.observed
+        log.enabled = False
+        log.subscribe(lambda rec: None)
+        assert log.observed
 
     def test_is_latest_until_anything_is_sequenced(self):
         sim = Simulation()
