@@ -1,13 +1,14 @@
 """Representative checkpointable cells of each experiment family.
 
 The CLI (``repro checkpoint`` / ``repro resume``), the CI smoke job and
-bench_guard all exercise the same three cells -- one per stateful
-stack: the fig2 two-job microbenchmark (engine + osmodel + harness
-callbacks), a scale replay (SWIM workload + HFSP + preemption) and a
-memscale replay (VMM/swap admission + oversubscribed fabric).  Each
-builds mid-flight, snapshots at a virtual time, finishes, and can be
-finished again from the checkpoint; the two finishes must agree on the
-TraceLog digest and every metric byte.
+bench_guard all exercise the same cells -- one per stateful stack: the
+fig2 two-job microbenchmark (engine + osmodel + harness callbacks) and
+one cell of each replay study: a scale replay (SWIM workload + HFSP +
+preemption), a shuffle replay (flows in flight on an oversubscribed
+fabric) and a memscale replay (VMM/swap admission).  Each builds mid-flight,
+snapshots at a virtual time, finishes, and can be finished again from
+the checkpoint; the two finishes must agree on the TraceLog digest and
+every metric byte.
 """
 
 from __future__ import annotations
@@ -17,41 +18,45 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.checkpoint.core import Checkpoint, load, restore
 from repro.errors import ConfigurationError, SnapshotError
+from repro.experiments.drive import finish_replay, replay_study
 
-
-#: per-kind defaults: the representative seed derivation and a snapshot
-#: instant that lands mid-flight for the cell's size
+#: per-kind snapshot instant (mid-flight for the cell's size) and, for
+#: the replay studies, the cell's coordinates and workload length
 CELL_DEFAULTS = {
     "fig2": {"at": 40.0},
-    "scale": {"at": 120.0, "trackers": 5, "num_jobs": 5},
-    "memscale": {"at": 40.0, "trackers": 5, "num_jobs": 5},
+    "scale": {
+        "at": 120.0, "num_jobs": 5,
+        "coords": {"scenario": "baseline", "primitive_name": "suspend",
+                   "trackers": 5},
+    },
+    "shuffle": {
+        "at": 20.0, "num_jobs": 10,
+        "coords": {"primitive_name": "suspend", "trackers": 10,
+                   "oversubscription": 2.5},
+    },
+    "memscale": {
+        "at": 40.0, "num_jobs": 5,
+        "coords": {"mode": "suspend-gated", "trackers": 5},
+    },
 }
+
+
+def _defaults(kind: str) -> Dict[str, Any]:
+    if kind not in CELL_DEFAULTS:
+        raise ConfigurationError(
+            f"unknown checkpoint cell {kind!r}; known: "
+            f"{', '.join(sorted(CELL_DEFAULTS))}"
+        )
+    return CELL_DEFAULTS[kind]
 
 
 def default_seed(kind: str) -> int:
     """The representative cell's seed, matching the experiment's own
     derivation so checkpoint runs stay comparable with study cells."""
-    from repro.experiments.runner import derive_seed
-
+    defaults = _defaults(kind)
     if kind == "fig2":
         return 1000
-    if kind == "scale":
-        d = CELL_DEFAULTS["scale"]
-        return derive_seed(
-            9000, "scale", "baseline", d["trackers"], "suspend", 0
-        )
-    if kind == "memscale":
-        from repro.experiments.memscale_study import RESERVE_BYTES, SWAP_BYTES
-
-        d = CELL_DEFAULTS["memscale"]
-        return derive_seed(
-            12000, "memscale", d["trackers"], "suspend-gated",
-            SWAP_BYTES, RESERVE_BYTES, 0,
-        )
-    raise ConfigurationError(
-        f"unknown checkpoint cell {kind!r}; known: "
-        f"{', '.join(sorted(CELL_DEFAULTS))}"
-    )
+    return replay_study(kind).cell_seed(**defaults["coords"])
 
 
 def build_cell(kind: str, seed: Optional[int] = None) -> Tuple[Any, Dict]:
@@ -60,45 +65,17 @@ def build_cell(kind: str, seed: Optional[int] = None) -> Tuple[Any, Dict]:
     Returns ``(cluster, meta)`` where ``meta`` is the context a resume
     needs to finish the run and recompute its metrics.
     """
+    defaults = _defaults(kind)
     seed = default_seed(kind) if seed is None else seed
     if kind == "fig2":
         from repro.experiments.harness import TwoJobHarness
 
         harness = TwoJobHarness("suspend", 0.5, runs=1, keep_traces=True)
-        cluster = harness.build_cluster(seed)
-        meta = {"kind": "fig2", "seed": seed}
-        return cluster, meta
-    if kind == "scale":
-        from repro.experiments import scale_study
-
-        d = CELL_DEFAULTS["scale"]
-        cluster, _ = scale_study._build_run(
-            "baseline", "suspend", d["trackers"], d["num_jobs"], seed,
-            trace=True,
-        )
-        meta = {
-            "kind": "scale", "scenario": "baseline",
-            "primitive_name": "suspend", "trackers": d["trackers"],
-            "num_jobs": d["num_jobs"], "seed": seed, "trace": True,
-        }
-        return cluster, meta
-    if kind == "memscale":
-        from repro.experiments import memscale_study
-
-        d = CELL_DEFAULTS["memscale"]
-        cluster, _ = memscale_study._build_run(
-            "suspend-gated", d["trackers"], d["num_jobs"], seed, trace=True,
-        )
-        meta = {
-            "kind": "memscale", "mode": "suspend-gated",
-            "trackers": d["trackers"], "num_jobs": d["num_jobs"],
-            "seed": seed, "trace": True,
-        }
-        return cluster, meta
-    raise ConfigurationError(
-        f"unknown checkpoint cell {kind!r}; known: "
-        f"{', '.join(sorted(CELL_DEFAULTS))}"
-    )
+        return harness.build_cluster(seed), {"kind": kind, "seed": seed}
+    params = {**defaults["coords"], "num_jobs": defaults["num_jobs"],
+              "seed": seed, "trace": True}
+    cluster, _ = replay_study(kind)._build_run(**params)
+    return cluster, {"kind": kind, **params}
 
 
 def finish_cell(cluster: Any, meta: Dict) -> Dict[str, Any]:
@@ -122,19 +99,13 @@ def finish_cell(cluster: Any, meta: Dict) -> Dict[str, Any]:
             "suspend_count": float(result.suspend_count),
             "trace_digest": cluster.sim.trace_log.digest(),
         }
-    if kind == "scale":
-        from repro.experiments import scale_study
-
-        return scale_study._finish_run(cluster, meta)
-    if kind == "memscale":
-        from repro.experiments import memscale_study
-
-        return memscale_study._finish_run(cluster, meta)
-    raise SnapshotError(
-        f"checkpoint meta names no runnable cell (kind={kind!r}); "
-        "only checkpoints written by `repro checkpoint` carry a "
-        "continuation recipe"
-    )
+    if kind not in CELL_DEFAULTS:
+        raise SnapshotError(
+            f"checkpoint meta names no runnable cell (kind={kind!r}); "
+            "only checkpoints written by `repro checkpoint` carry a "
+            "continuation recipe"
+        )
+    return finish_replay(cluster, meta)
 
 
 def checkpoint_cell(

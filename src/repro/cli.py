@@ -30,6 +30,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.checkpoint.cells import CELL_DEFAULTS
 from repro.errors import ReproError
 from repro.experiments.registry import (
     describe_experiment,
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a representative cell, snapshotting mid-flight",
     )
     ckpt.add_argument("cell", help="checkpointable cell "
-                      "(fig2, scale, memscale)")
+                      f"({', '.join(CELL_DEFAULTS)})")
     ckpt.add_argument("--at", type=float, default=None,
                       help="virtual time of the snapshot "
                       "(default: the cell's mid-flight instant)")

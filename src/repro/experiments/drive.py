@@ -1,28 +1,47 @@
-"""Shared drive-loop helpers for the replay studies.
+"""The one replay recipe of the ``scale``, ``shuffle`` and ``memscale``
+studies: build -> drive -> collect.
 
-Every study drives its cluster the same way: register a completion
-tally with the jobtracker, then step the simulation until every
-generated job is terminal (the generic run-until helper would stop
-early if the cluster drained while a late arrival was still on the
-event heap).  The tally is a module-level class rather than a closure
-so a mid-run cluster pickles for checkpointing, and the loop itself is
-reused by the checkpoint continuation path (``repro resume``).
+A study module keeps only what differs: ``_build_run`` (a loaded,
+not yet driven cluster plus its :class:`CompletionCounter`), the
+``CELL_NAME``/``SKETCH_PREFIX`` format strings over its cell params,
+``_extra_metrics(cluster)`` and ``cell_seed``, the one owner of its
+seed coordinates.  :func:`finish_replay` is the only finish path --
+fresh cells, ``repro checkpoint``/``resume``, bench_guard and the
+supervisor's mid-cell resume -- and :func:`run_replay_grid` plus the
+report helpers are the shared tail of every ``run_*_study``.
 
-The loop is also where supervised sweeps auto-snapshot long cells:
-:func:`set_autosnapshot` arms a per-process hook that persists the
-whole cluster every ``every`` *virtual* seconds.  The snapshot happens
-**between** engine steps -- never as a scheduled event -- because a
-snapshot event would bump ``events_fired`` and write a TraceLog
-record, and then a resumed or chaos-disturbed run could no longer be
-byte-identical to an undisturbed one.  Observation stays outside the
-event heap; that is the determinism rule.
+The drive loop steps until every generated job is terminal (the
+generic run-until helper would stop early if the cluster drained while
+a late arrival was still on the event heap).  The tally is a class,
+not a closure, so a mid-run cluster pickles.  An :class:`AutoSnapshot`
+persists the cluster **between** engine steps -- never as a scheduled
+event, which would bump ``events_fired`` and write a TraceLog record,
+so a resumed run could no longer be byte-identical to an undisturbed
+one.  Observation stays outside the event heap.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import hashlib
+import importlib
+import itertools
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.experiments.sketches import cell_sketch, merge_sketches
+from repro.metrics.series import Series
+from repro.metrics.stats import percentile, summarize
+from repro.workloads.swim import MIXES, SwimGenerator
+
+#: checkpoint/cell kind -> study module; every replay cell is
+#: ``Cell(module, "_run_once", **params)`` and its checkpoint meta is
+#: ``{"kind": kind, **params}``
+REPLAY_STUDIES: Dict[str, str] = {
+    "scale": "repro.experiments.scale_study",
+    "shuffle": "repro.experiments.shuffle_study",
+    "memscale": "repro.experiments.memscale_study",
+}
 
 
 class CompletionCounter:
@@ -60,65 +79,81 @@ def find_counter(cluster) -> CompletionCounter:
     )
 
 
-# ----------------------------------------------------------------------
-# Mid-cell auto-snapshot (armed per worker process by the supervisor)
-# ----------------------------------------------------------------------
+def load_replay(cluster, collector, mix: str, arrival, num_jobs: int):
+    """The common end of every ``_build_run``: attach the scheduler and
+    telemetry ``collector``, submit ``num_jobs`` SWIM jobs of ``mix``
+    arriving per ``arrival``, and install the completion tally.
+    Returns ``(cluster, counter)``."""
+    cluster.scheduler.attach_cluster(cluster)
+    if collector is not None:
+        collector.attach(cluster.sim.trace_log)
+    generator = SwimGenerator(
+        cluster.sim.rng.stream("swim"), classes=MIXES[mix], arrival=arrival
+    )
+    for spec in generator.generate_workload(num_jobs):
+        cluster.submit_job(spec)
+    return cluster, install_counter(cluster)
 
-#: ``(path, every_virtual_seconds, meta)`` or None; module-level like
-#: the runner's progress/cache state so the worker arms it once per
-#: cell without threading a parameter through every study signature
-_autosnapshot: Optional[Dict[str, Any]] = None
 
-
-def set_autosnapshot(
-    path: Optional[str],
-    every: float = 0.0,
-    meta: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Arm (or, with ``path=None``, disarm) mid-cell auto-snapshots.
-
-    While armed, :func:`drive_to_completion` atomically rewrites
-    ``path`` with a full checkpoint of the cluster every ``every``
-    virtual seconds; ``meta`` must be a continuation recipe
-    :func:`repro.checkpoint.cells.finish_cell` understands, so a
-    crashed shard can restore the file and finish the cell instead of
-    re-running it from zero.
-    """
-    global _autosnapshot
-    if path is None:
-        _autosnapshot = None
-        return
-    if every <= 0:
+def replay_study(kind: str):
+    """The study module behind a replay kind."""
+    if kind not in REPLAY_STUDIES:
         raise ConfigurationError(
-            f"autosnapshot interval must be > 0 virtual seconds, got {every}"
+            f"unknown replay study {kind!r}; known: "
+            f"{', '.join(sorted(REPLAY_STUDIES))}"
         )
-    _autosnapshot = {"path": path, "every": float(every),
-                     "meta": dict(meta or {})}
+    return importlib.import_module(REPLAY_STUDIES[kind])
 
 
-def autosnapshot_state() -> Optional[Dict[str, Any]]:
-    """The armed auto-snapshot hook (None when disarmed)."""
-    return _autosnapshot
+def replay_kind(cell) -> Optional[str]:
+    """The replay kind of a sweep cell, or None for any other cell."""
+    if cell.func == "_run_once":
+        for kind, module in REPLAY_STUDIES.items():
+            if cell.module == module:
+                return kind
+    return None
 
 
-def _write_midcell_snapshot(cluster, state: Dict[str, Any]) -> None:
-    """Persist one mid-cell checkpoint (atomic via checkpoint.core)."""
-    from repro.checkpoint.core import save
+def jobs_for(trackers: int, num_jobs: Optional[int]) -> int:
+    """Workload length per cluster size: jobs scale with trackers (the
+    SWIM day-in-the-life replay grows with the cluster it feeds)."""
+    if num_jobs is None:
+        return max(trackers, 10)
+    if num_jobs < 1:
+        raise ConfigurationError(f"num_jobs must be >= 1, got {num_jobs}")
+    return num_jobs
 
-    meta = dict(state["meta"])
-    meta["midcell_now"] = cluster.sim.now
-    save(cluster, state["path"], meta=meta)
-    # Narrate the write to the sweep ledger (armed per worker process
-    # by the supervisor).  Ledger appends happen *between* engine
-    # steps, exactly like the snapshot itself -- trace-silent.
-    from repro.obs.ledger import process_ledger
 
-    ledger = process_ledger()
-    if ledger is not None:
-        ledger.emit(
-            "snapshot", path=state["path"],
-            virtual_now=round(cluster.sim.now, 6),
-        )
+# ----------------------------------------------------------------------
+# Drive loop with mid-cell auto-snapshot
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AutoSnapshot:
+    """Persist the driven cluster to ``path`` every ``every`` virtual
+    seconds, narrating each write to ``ledger`` (if any).
+
+    ``meta`` is the continuation recipe ``{"kind": kind, **params}``,
+    so a crashed shard can restore the file and finish the cell through
+    :func:`finish_replay` instead of re-running it from zero.
+    """
+
+    path: str
+    every: float
+    meta: Dict[str, Any]
+    ledger: Any = None
+
+    def write(self, cluster) -> None:
+        from repro.checkpoint.core import save
+
+        save(cluster, self.path,
+             meta={**self.meta, "midcell_now": cluster.sim.now})
+        if self.ledger is not None:
+            self.ledger.emit(
+                "snapshot", path=self.path,
+                virtual_now=round(cluster.sim.now, 6),
+            )
 
 
 def drive_to_completion(
@@ -127,23 +162,22 @@ def drive_to_completion(
     num_jobs: int,
     what: str,
     deadline_seconds: float = 86_400.0,
+    autosnapshot: Optional[AutoSnapshot] = None,
 ) -> None:
     """Step the simulation until ``num_jobs`` completions are tallied.
 
     Raises :class:`ConfigurationError` when more than
     ``deadline_seconds`` of simulated time pass first (a deadlock
-    guard, identical to the studies' historical inline loops).
-
-    When an auto-snapshot hook is armed (:func:`set_autosnapshot`) the
-    loop persists the cluster between steps whenever the clock crosses
-    the next interval boundary -- trace- and event-silent, so the
-    driven run is byte-identical with the hook on or off.
+    guard).  With an ``autosnapshot`` the loop persists the cluster
+    between steps whenever the clock crosses the next interval
+    boundary -- trace- and event-silent, so the driven run is
+    byte-identical with or without it.
     """
     cluster.start()
     deadline = cluster.sim.now + deadline_seconds
-    snap = _autosnapshot
     next_due = (
-        cluster.sim.now + snap["every"] if snap is not None else float("inf")
+        cluster.sim.now + autosnapshot.every
+        if autosnapshot is not None else float("inf")
     )
     while counter.count < num_jobs:
         if cluster.sim.now >= deadline:
@@ -151,8 +185,187 @@ def drive_to_completion(
                 f"{what} still running after "
                 f"{deadline_seconds:.0f}s of simulated time"
             )
-        if snap is not None and cluster.sim.now >= next_due:
-            _write_midcell_snapshot(cluster, snap)
-            next_due = cluster.sim.now + snap["every"]
+        if cluster.sim.now >= next_due:
+            autosnapshot.write(cluster)
+            next_due = cluster.sim.now + autosnapshot.every
         if not cluster.sim.step():
             break
+
+
+# ----------------------------------------------------------------------
+# One cell: build -> drive -> collect
+# ----------------------------------------------------------------------
+
+
+def run_replay(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Build and finish one fresh replay cell (every ``_run_once``)."""
+    cluster, _ = replay_study(kind)._build_run(**params)
+    return finish_replay(cluster, {"kind": kind, **params})
+
+
+def finish_replay(
+    cluster, meta: Dict[str, Any], autosnapshot: Optional[AutoSnapshot] = None
+) -> Dict[str, Any]:
+    """Drive a built (or restored) replay cell to completion and
+    collect its result dict.
+
+    ``meta`` is ``{"kind": kind, **params}``: the cell's params name
+    it, size its workload and choose the telemetry tails.  The result
+    keys are the five common sojourn/waste columns, the study's
+    ``_extra_metrics``, ``jobs_completed``, ``events`` and ``sketch``,
+    then ``trace_digest``/``science_digest`` when ``trace`` is set and
+    ``engine`` when ``profile`` is.  Small jobs (at most three maps)
+    are re-identified from the specs, which ride inside a checkpoint.
+    """
+    study = replay_study(meta["kind"])
+    num_jobs = int(meta["num_jobs"])
+    what = f"{meta['kind']} cell {study.CELL_NAME.format(**meta)}"
+    counter = find_counter(cluster)
+    drive_to_completion(
+        cluster, counter, num_jobs, what, autosnapshot=autosnapshot
+    )
+
+    jobs = list(cluster.jobtracker.jobs.values())
+    sojourns = sorted(
+        job.sojourn_time for job in jobs if job.sojourn_time is not None
+    )
+    if not sojourns:
+        # Name the stall instead of dividing by an empty job list.
+        raise ConfigurationError(
+            f"{what} drained its event queue with 0/{num_jobs} jobs "
+            "complete (scheduling deadlock?)"
+        )
+    small = [
+        job.sojourn_time
+        for job in jobs
+        if len(job.spec.map_tasks) <= 3 and job.sojourn_time is not None
+    ]
+    finish = max(job.finish_time for job in jobs if job.finish_time is not None)
+    out = {
+        "mean_sojourn": sum(sojourns) / len(sojourns),
+        "p95_sojourn": percentile(sojourns, 95),
+        "small_mean_sojourn": sum(small) / len(small) if small else 0.0,
+        "makespan": finish,
+        "wasted": cluster.jobtracker.wasted.total(),
+        **study._extra_metrics(cluster),
+        "jobs_completed": float(counter.count),
+        "events": float(cluster.sim.events_fired),
+    }
+    out["sketch"] = cell_sketch(
+        study.SKETCH_PREFIX.format(**meta), sojourns, small, out
+    )
+    if meta.get("trace"):
+        out["trace_digest"] = cluster.sim.trace_log.digest()
+        out["science_digest"] = cluster.sim.trace_log.science_digest()
+    if meta.get("profile"):
+        from repro.telemetry.profiling import engine_stats
+
+        out["engine"] = engine_stats(cluster.sim)
+    return out
+
+
+# ----------------------------------------------------------------------
+# One sweep: grid -> cells -> metrics -> report tail
+# ----------------------------------------------------------------------
+
+
+def metrics_digest(metrics: Dict) -> str:
+    """SHA-256 of the full nested metric structure.
+
+    ``repr`` round-trips floats exactly, so two digests match iff
+    every metric of every cell is bit-identical -- the value the
+    serial-vs-parallel acceptance test compares.
+    """
+    return hashlib.sha256(repr(sorted(metrics.items())).encode("utf-8")).hexdigest()
+
+
+@dataclass
+class ReplayGrid:
+    """One swept grid: ``metrics[a0][a1]...[key]`` holds one value per
+    repetition, ``results`` the raw cell dicts in grid order."""
+
+    metrics: Dict
+    results: List[Dict[str, Any]]
+    digest: str
+
+
+def run_replay_grid(
+    kind: str,
+    axes: Sequence[Sequence[Any]],
+    runs: int,
+    params_for: Callable[..., Dict[str, Any]],
+    metric_keys: Sequence[str],
+    workers: int,
+) -> ReplayGrid:
+    """Run ``runs`` repetitions of every point of ``axes`` as one sweep.
+
+    ``params_for(*point, rep)`` gives a cell's ``_run_once`` params;
+    cells run in ``itertools.product`` order, repetitions innermost.
+    """
+    from repro.experiments.runner import Cell, run_cells
+
+    if runs < 1:
+        raise ConfigurationError("need at least one run")
+    points = list(itertools.product(*axes))
+    cells = [
+        Cell.make(REPLAY_STUDIES[kind], "_run_once", **params_for(*point, rep))
+        for point in points
+        for rep in range(runs)
+    ]
+    results = run_cells(cells, workers=workers)
+    metrics: Dict = {}
+    leaves = {}
+    for point in points:
+        node = metrics
+        for coordinate in point[:-1]:
+            node = node.setdefault(coordinate, {})
+        leaves[point] = node.setdefault(
+            point[-1], {key: [] for key in metric_keys}
+        )
+    for index, out in enumerate(results):
+        for key in metric_keys:
+            leaves[points[index // runs]][key].append(out[key])
+    flat = {
+        "/".join(map(str, (*point, key))): tuple(leaf[key])
+        for point, leaf in leaves.items()
+        for key in metric_keys
+    }
+    return ReplayGrid(metrics, results, metrics_digest(flat))
+
+
+def add_trackers_series(
+    report,
+    prefix: str,
+    by_size: Dict,
+    sizes: Sequence[int],
+    curves: Sequence[str],
+    figures: Sequence[Tuple[str, str]],
+) -> None:
+    """One series per ``(key, y_label)`` of ``figures``: cluster size on
+    x, one curve per entry of ``curves``, each point the mean over the
+    repetitions in ``by_size[size][curve][key]``."""
+    for key, y_label in figures:
+        series = Series(
+            name=f"{prefix}-{key.replace('_', '-')}",
+            x_label="trackers",
+            y_label=y_label,
+            x_values=[float(size) for size in sizes],
+        )
+        for curve in curves:
+            series.add_curve(
+                curve,
+                [summarize(by_size[size][curve][key]).mean for size in sizes],
+            )
+        report.add_series(series)
+
+
+def add_digests(report, grid: ReplayGrid) -> None:
+    """The shared report tail: metric and sketch digest notes, then the
+    metrics and merged sketch in ``extras``."""
+    report.add_note(f"metrics digest: {grid.digest}")
+    sketch = merge_sketches(grid.results)
+    report.add_note(f"sketch digest: {sketch.digest()}")
+    report.extras["metrics"] = grid.metrics
+    report.extras["digest"] = grid.digest
+    report.extras["sketch"] = sketch.to_dict()
+    report.extras["sketch_digest"] = sketch.digest()

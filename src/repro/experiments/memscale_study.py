@@ -39,24 +39,23 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError
 from repro.experiments import params as P
 from repro.experiments.drive import (
-    drive_to_completion,
-    find_counter,
-    install_counter,
+    add_digests,
+    add_trackers_series,
+    jobs_for,
+    load_replay,
+    run_replay,
+    run_replay_grid,
 )
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Cell, derive_seed, run_cells
-from repro.experiments.scale_study import metrics_digest
-from repro.experiments.sketches import cell_sketch, merge_sketches
+from repro.experiments.runner import derive_seed
 from repro.hadoop.cluster import HadoopCluster
-from repro.metrics.series import Series
-from repro.metrics.stats import percentile, summarize
 from repro.netmodel.config import NetConfig
 from repro.preemption.admission import AdmissionConfig
 from repro.preemption.base import make_primitive
 from repro.preemption.eviction import SuspendCostPolicy
 from repro.schedulers.hfsp import HfspScheduler
 from repro.units import GB, MB
-from repro.workloads.swim import MIXES, ArrivalSpec, SwimGenerator
+from repro.workloads.swim import ArrivalSpec
 
 DEFAULT_CLUSTER_SIZES = (25, 100, 400)
 
@@ -176,6 +175,28 @@ def _make_scheduler(
     )
 
 
+#: the study's default base seed (see :func:`cell_seed`)
+BASE_SEED = 12000
+
+#: cell params -> the cell's name in errors and its sketch prefix
+CELL_NAME = "{mode}/{trackers}"
+SKETCH_PREFIX = "{mode}/{trackers}/"
+
+
+def cell_seed(
+    trackers: int,
+    mode: str,
+    swap_bytes: int = SWAP_BYTES,
+    reserve_bytes: int = RESERVE_BYTES,
+    rep: int = 0,
+    base_seed: int = BASE_SEED,
+) -> int:
+    """The seed of one grid cell, derived from its coordinates."""
+    return derive_seed(
+        base_seed, "memscale", trackers, mode, swap_bytes, reserve_bytes, rep
+    )
+
+
 def _run_once(
     mode: str,
     trackers: int,
@@ -195,18 +216,7 @@ def _run_once(
     :func:`repro.experiments.scale_study._run_once`):
     observation only, pinned by the silence differential suite.
     """
-    cluster, finished = _build_run(
-        mode, trackers, num_jobs, seed, swap_bytes=swap_bytes,
-        reserve_bytes=reserve_bytes, trace=trace, collector=collector,
-        profile=profile, heartbeat_phases=heartbeat_phases,
-    )
-    drive_to_completion(
-        cluster, finished, num_jobs,
-        what=f"memscale cell {mode}/{trackers}",
-    )
-    return _collect_run(
-        cluster, mode, trackers, num_jobs, finished, trace, profile
-    )
+    return run_replay("memscale", locals())
 
 
 def _build_run(
@@ -246,75 +256,20 @@ def _build_run(
         ),
         profile=profile,
     )
-    scheduler.attach_cluster(cluster)
-    if collector is not None:
-        collector.attach(cluster.sim.trace_log)
-
-    generator = SwimGenerator(
-        cluster.sim.rng.stream("swim"),
-        classes=MIXES["memory-heavy"],
-        arrival=ArrivalSpec(
-            kind="poisson", mean_interarrival=LOAD_SECONDS / trackers
-        ),
-    )
-    specs = generator.generate_workload(num_jobs)
-    for spec in specs:
-        cluster.submit_job(spec)
-    return cluster, install_counter(cluster)
-
-
-def _finish_run(cluster, meta: Dict) -> Dict[str, float]:
-    """Drive a (restored) memscale cell to completion and collect."""
-    finished = find_counter(cluster)
-    drive_to_completion(
-        cluster, finished, int(meta["num_jobs"]),
-        what=f"memscale cell {meta['mode']}/{meta['trackers']}",
-    )
-    return _collect_run(
-        cluster, meta["mode"], int(meta["trackers"]),
-        int(meta["num_jobs"]), finished,
-        bool(meta.get("trace")), bool(meta.get("profile")),
+    return load_replay(
+        cluster, collector, "memory-heavy",
+        ArrivalSpec(kind="poisson", mean_interarrival=LOAD_SECONDS / trackers),
+        num_jobs,
     )
 
 
-def _collect_run(
-    cluster,
-    mode: str,
-    trackers: int,
-    num_jobs: int,
-    finished,
-    trace: bool,
-    profile: bool,
-) -> Dict[str, float]:
-    """The metric tail of :func:`_run_once`, recomputable after a
-    checkpoint restore."""
-    scheduler = cluster.scheduler
-    jobs = list(cluster.jobtracker.jobs.values())
-    small_names = {
-        job.spec.name for job in jobs if len(job.spec.map_tasks) <= 3
-    }
-    sojourns = sorted(
-        job.sojourn_time for job in jobs if job.sojourn_time is not None
+def _extra_metrics(cluster) -> Dict[str, float]:
+    gate = cluster.scheduler.admission
+    failed = sum(
+        1 for job in cluster.jobtracker.jobs.values()
+        if job.state.value == "FAILED"
     )
-    if not sojourns:
-        raise ConfigurationError(
-            f"memscale cell {mode}/{trackers} drained its event queue "
-            f"with 0/{num_jobs} jobs complete (scheduling deadlock?)"
-        )
-    small = [
-        job.sojourn_time
-        for job in jobs
-        if job.spec.name in small_names and job.sojourn_time is not None
-    ]
-    finish = max(job.finish_time for job in jobs if job.finish_time is not None)
-    failed = sum(1 for job in jobs if job.state.value == "FAILED")
-    gate = scheduler.admission
-    out = {
-        "mean_sojourn": sum(sojourns) / len(sojourns),
-        "p95_sojourn": percentile(sojourns, 95),
-        "small_mean_sojourn": sum(small) / len(small) if small else 0.0,
-        "makespan": finish,
-        "wasted": cluster.jobtracker.wasted.total(),
+    return {
         "wasted_net_mb": cluster.wasted_network_bytes() / MB,
         "swap_out_mb": cluster.total_swapped_out_bytes() / MB,
         # The heartbeat-reported view: the largest suspended total any
@@ -330,31 +285,14 @@ def _collect_run(
         "suspends_admitted": float(
             gate.stats.admitted if gate is not None else 0
         ),
-        "preemptions": float(scheduler.preemptions),
+        "preemptions": float(cluster.scheduler.preemptions),
         "jobs_failed": float(failed),
-        "jobs_completed": float(finished.count),
-        "events": float(cluster.sim.events_fired),
     }
-    out["sketch"] = cell_sketch(f"{mode}/{trackers}/", sojourns, small, out)
-    if trace:
-        out["trace_digest"] = cluster.sim.trace_log.digest()
-        out["science_digest"] = cluster.sim.trace_log.science_digest()
-    if profile:
-        from repro.telemetry.profiling import engine_stats
-
-        out["engine"] = engine_stats(cluster.sim)
-    return out
-
-
-def _jobs_for(trackers: int, num_jobs: Optional[int]) -> int:
-    if num_jobs is not None:
-        return num_jobs
-    return max(trackers, 10)
 
 
 def run_memscale_study(
     runs: int = 1,
-    base_seed: int = 12000,
+    base_seed: int = BASE_SEED,
     cluster_sizes: Optional[List[int]] = None,
     modes: Optional[List[str]] = None,
     num_jobs: Optional[int] = None,
@@ -365,44 +303,28 @@ def run_memscale_study(
     """Memory-heavy SWIM replay on swap-constrained nodes."""
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
     chosen_modes = list(modes or MODES)
-    if runs < 1:
-        raise ConfigurationError("need at least one run")
     for mode in chosen_modes:
         if mode not in MODES:
             raise ConfigurationError(
                 f"unknown memscale mode {mode!r}; known: {', '.join(MODES)}"
             )
-
-    cells: List[Cell] = []
-    coords = []
-    for size in sizes:
-        for mode in chosen_modes:
-            for rep in range(runs):
-                coords.append((size, mode))
-                cells.append(
-                    Cell.make(
-                        "repro.experiments.memscale_study",
-                        "_run_once",
-                        mode=mode,
-                        trackers=size,
-                        num_jobs=_jobs_for(size, num_jobs),
-                        swap_bytes=swap_bytes,
-                        reserve_bytes=reserve_bytes,
-                        seed=derive_seed(
-                            base_seed, "memscale", size, mode,
-                            swap_bytes, reserve_bytes, rep,
-                        ),
-                    )
-                )
-    results = run_cells(cells, workers=workers)
-
-    metrics: Dict = {
-        size: {m: {k: [] for k in METRIC_KEYS} for m in chosen_modes}
-        for size in sizes
-    }
-    for (size, mode), out in zip(coords, results):
-        for key in METRIC_KEYS:
-            metrics[size][mode][key].append(out[key])
+    grid = run_replay_grid(
+        "memscale",
+        (sizes, chosen_modes),
+        runs,
+        lambda size, mode, rep: dict(
+            mode=mode,
+            trackers=size,
+            num_jobs=jobs_for(size, num_jobs),
+            swap_bytes=swap_bytes,
+            reserve_bytes=reserve_bytes,
+            seed=cell_seed(
+                size, mode, swap_bytes, reserve_bytes, rep, base_seed
+            ),
+        ),
+        METRIC_KEYS,
+        workers,
+    )
 
     report = ExperimentReport(
         experiment_id="memscale",
@@ -417,34 +339,16 @@ def run_memscale_study(
             "sojourns competitive at zero OOM kills"
         ),
     )
-    for key, y_label in (
-        ("small_mean_sojourn", "small-job mean sojourn (s)"),
-        ("wasted", "wasted work (s)"),
-        ("swap_out_mb", "swap traffic (MB paged out)"),
-        ("peak_suspended_mb", "peak per-node suspended (MB)"),
-        ("oom_kills", "OOM kills"),
-    ):
-        series = Series(
-            name=f"memscale-{key.replace('_', '-')}",
-            x_label="trackers",
-            y_label=y_label,
-            x_values=[float(size) for size in sizes],
-        )
-        for mode in chosen_modes:
-            series.add_curve(
-                mode,
-                [
-                    summarize(metrics[size][mode][key]).mean
-                    for size in sizes
-                ],
-            )
-        report.add_series(series)
-    flat = {
-        f"{size}/{m}/{k}": tuple(metrics[size][m][k])
-        for size in sizes
-        for m in chosen_modes
-        for k in METRIC_KEYS
-    }
+    add_trackers_series(
+        report, "memscale", grid.metrics, sizes, chosen_modes,
+        (
+            ("small_mean_sojourn", "small-job mean sojourn (s)"),
+            ("wasted", "wasted work (s)"),
+            ("swap_out_mb", "swap traffic (MB paged out)"),
+            ("peak_suspended_mb", "peak per-node suspended (MB)"),
+            ("oom_kills", "OOM kills"),
+        ),
+    )
     report.add_note(
         f"nodes: {swap_bytes / GB:.2g} GB swap, admission reserve "
         f"{reserve_bytes / GB:.2g} GB, fallback ladder suspend->wait"
@@ -455,13 +359,7 @@ def run_memscale_study(
         "multiplexing makes full saturation (hence suspend stacking) "
         "rarer per node as the cluster grows"
     )
-    report.add_note(f"metrics digest: {metrics_digest(flat)}")
-    sketch = merge_sketches(results)
-    report.add_note(f"sketch digest: {sketch.digest()}")
-    report.extras["metrics"] = metrics
-    report.extras["digest"] = metrics_digest(flat)
-    report.extras["sketch"] = sketch.to_dict()
-    report.extras["sketch_digest"] = sketch.digest()
+    add_digests(report, grid)
     report.extras["cluster_sizes"] = sizes
     report.extras["modes"] = chosen_modes
     report.extras["swap_bytes"] = swap_bytes

@@ -64,11 +64,6 @@ def set_progress(enabled: bool) -> None:
     _progress_enabled = bool(enabled)
 
 
-def progress_enabled() -> bool:
-    """Current progress-reporting state."""
-    return _progress_enabled
-
-
 def set_cell_cache(directory: Optional[str]) -> None:
     """Persist every finished cell's result under ``directory``.
 
@@ -102,16 +97,6 @@ def set_ledger(path: Optional[str]) -> None:
     _ledger_path_override = path
 
 
-def ledger_override() -> Optional[str]:
-    """The explicit ledger path (None = derive or disable)."""
-    return _ledger_path_override
-
-
-def cell_cache_dir() -> Optional[str]:
-    """Current cell-cache directory (None = caching off)."""
-    return _cell_cache_dir
-
-
 #: sweep-supervision overrides (module-level for the same reason as
 #: progress/cache: the CLI flips them once per command); empty = the
 #: supervisor's defaults
@@ -142,11 +127,6 @@ def set_supervision(
         "snapshot_every": snapshot_every,
     }
     _supervision = {k: v for k, v in knobs.items() if v is not None}
-
-
-def supervision_overrides() -> Dict[str, Any]:
-    """The active supervision overrides (empty = defaults)."""
-    return dict(_supervision)
 
 
 def cell_key(cell: "Cell") -> str:

@@ -23,25 +23,25 @@ makespan, wasted work and preemption counts.
 from __future__ import annotations
 
 import functools
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import params as P
-from repro.experiments.drive import (
-    drive_to_completion,
-    find_counter,
-    install_counter,
+from repro.experiments.drive import (  # noqa: F401 (metrics_digest)
+    add_digests,
+    add_trackers_series,
+    jobs_for,
+    load_replay,
+    metrics_digest,
+    run_replay,
+    run_replay_grid,
 )
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Cell, derive_seed, run_cells
-from repro.experiments.sketches import cell_sketch, merge_sketches
+from repro.experiments.runner import derive_seed
 from repro.hadoop.cluster import HadoopCluster
-from repro.metrics.series import Series
-from repro.metrics.stats import percentile, summarize
 from repro.preemption.base import make_primitive
 from repro.schedulers.hfsp import HfspScheduler
-from repro.workloads.swim import MIXES, ArrivalSpec, SwimGenerator
+from repro.workloads.swim import ArrivalSpec
 
 #: scenario name -> (mix key, arrival process); the arrival's mean is
 #: rescaled per cluster size in :func:`_run_once`
@@ -92,6 +92,25 @@ def _arrival_spec(kind: str, mean_interarrival: float) -> ArrivalSpec:
     return ArrivalSpec(kind="poisson", mean_interarrival=mean_interarrival)
 
 
+#: the study's default base seed (see :func:`cell_seed`)
+BASE_SEED = 9000
+
+#: cell params -> the cell's name in errors and its sketch prefix
+CELL_NAME = "{scenario}/{primitive_name}/{trackers}"
+SKETCH_PREFIX = "{scenario}/{trackers}/{primitive_name}/"
+
+
+def cell_seed(
+    scenario: str,
+    trackers: int,
+    primitive_name: str,
+    rep: int = 0,
+    base_seed: int = BASE_SEED,
+) -> int:
+    """The seed of one grid cell, derived from its coordinates."""
+    return derive_seed(base_seed, "scale", scenario, trackers, primitive_name, rep)
+
+
 def _run_once(
     scenario: str,
     primitive_name: str,
@@ -119,18 +138,9 @@ def _run_once(
     ``heartbeat_phases`` locks tracker heartbeats onto that many shared
     phase offsets; 0 keeps the free-drifting stagger.
     """
-    cluster, finished = _build_run(
-        scenario, primitive_name, trackers, num_jobs, seed,
-        admission=admission, trace=trace, collector=collector,
-        profile=profile, heartbeat_phases=heartbeat_phases,
-    )
-    drive_to_completion(
-        cluster, finished, num_jobs,
-        what=f"scale cell {scenario}/{primitive_name}/{trackers}",
-    )
-    return _collect_run(
-        cluster, scenario, primitive_name, trackers, finished, trace, profile
-    )
+    # Keep the signature explicit (no **params): callers filter their
+    # keyword arguments through inspect.signature.
+    return run_replay("scale", locals())
 
 
 def _build_run(
@@ -147,9 +157,9 @@ def _build_run(
 ):
     """Build one fully loaded (but not yet driven) replay cell.
 
-    Split from :func:`_run_once` so checkpoint tooling can snapshot
-    the cluster mid-flight and finish it later with
-    :func:`_finish_run`.  Returns ``(cluster, completion_counter)``.
+    Checkpoint tooling snapshots it mid-flight and finishes it with
+    :func:`repro.experiments.drive.finish_replay`.  Returns
+    ``(cluster, completion_counter)``.
     """
     if scenario not in SCENARIOS:
         raise ConfigurationError(
@@ -176,114 +186,19 @@ def _build_run(
         trace=trace,
         profile=profile,
     )
-    scheduler.attach_cluster(cluster)
-    if collector is not None:
-        collector.attach(cluster.sim.trace_log)
-
-    mean_interarrival = LOAD_SECONDS / trackers
-    generator = SwimGenerator(
-        cluster.sim.rng.stream("swim"),
-        classes=MIXES[shape["mix"]],
-        arrival=_arrival_spec(shape["arrival"], mean_interarrival),
-    )
-    specs = generator.generate_workload(num_jobs)
-    for spec in specs:
-        cluster.submit_job(spec)
-    return cluster, install_counter(cluster)
-
-
-def _finish_run(cluster, meta: Dict) -> Dict[str, float]:
-    """Drive a (restored) cell to completion and collect its metrics.
-
-    ``meta`` is the checkpoint meta written by
-    :mod:`repro.checkpoint.cells` -- the cell coordinates needed to
-    recompute the sketch prefix and deadlock message.
-    """
-    finished = find_counter(cluster)
-    drive_to_completion(
-        cluster, finished, int(meta["num_jobs"]),
-        what=(
-            f"scale cell {meta['scenario']}/{meta['primitive_name']}"
-            f"/{meta['trackers']}"
-        ),
-    )
-    return _collect_run(
-        cluster, meta["scenario"], meta["primitive_name"],
-        int(meta["trackers"]), finished,
-        bool(meta.get("trace")), bool(meta.get("profile")),
+    return load_replay(
+        cluster, collector, shape["mix"],
+        _arrival_spec(shape["arrival"], LOAD_SECONDS / trackers), num_jobs,
     )
 
 
-def _collect_run(
-    cluster,
-    scenario: str,
-    primitive_name: str,
-    trackers: int,
-    finished,
-    trace: bool,
-    profile: bool,
-) -> Dict[str, float]:
-    """The metric tail of :func:`_run_once`, recomputable after a
-    checkpoint restore (small jobs are re-identified from the submitted
-    specs, which ride inside the checkpoint)."""
-    scheduler = cluster.scheduler
-    jobs = list(cluster.jobtracker.jobs.values())
-    small_names = {
-        job.spec.name for job in jobs if len(job.spec.map_tasks) <= 3
-    }
-    sojourns = sorted(
-        job.sojourn_time for job in jobs if job.sojourn_time is not None
-    )
-    small = [
-        job.sojourn_time
-        for job in jobs
-        if job.spec.name in small_names and job.sojourn_time is not None
-    ]
-    finish = max(job.finish_time for job in jobs if job.finish_time is not None)
-    out = {
-        "mean_sojourn": sum(sojourns) / len(sojourns),
-        "p95_sojourn": percentile(sojourns, 95),
-        "small_mean_sojourn": sum(small) / len(small) if small else 0.0,
-        "makespan": finish,
-        "wasted": cluster.jobtracker.wasted.total(),
-        "preemptions": float(scheduler.preemptions),
-        "jobs_completed": float(finished.count),
-        "events": float(cluster.sim.events_fired),
-    }
-    out["sketch"] = cell_sketch(
-        f"{scenario}/{trackers}/{primitive_name}/", sojourns, small, out
-    )
-    if trace:
-        out["trace_digest"] = cluster.sim.trace_log.digest()
-        out["science_digest"] = cluster.sim.trace_log.science_digest()
-    if profile:
-        from repro.telemetry.profiling import engine_stats
-
-        out["engine"] = engine_stats(cluster.sim)
-    return out
-
-
-def _jobs_for(trackers: int, num_jobs: Optional[int]) -> int:
-    """Workload length per cluster size: jobs scale with trackers (the
-    SWIM day-in-the-life replay grows with the cluster it feeds)."""
-    if num_jobs is not None:
-        return num_jobs
-    return max(trackers, 10)
-
-
-def metrics_digest(metrics: Dict) -> str:
-    """SHA-256 of the full nested metric structure.
-
-    ``repr`` round-trips floats exactly, so two digests match iff
-    every metric of every cell is bit-identical -- the value the
-    serial-vs-parallel acceptance test compares.
-    """
-    return hashlib.sha256(repr(sorted(metrics.items())).encode("utf-8")).hexdigest()
+def _extra_metrics(cluster) -> Dict[str, float]:
+    return {"preemptions": float(cluster.scheduler.preemptions)}
 
 
 def run_scale_study(
     runs: int = 1,
-    base_seed: int = 9000,
+    base_seed: int = BASE_SEED,
     cluster_sizes: Optional[List[int]] = None,
     scenarios: Optional[List[str]] = None,
     primitives: Optional[List[str]] = None,
@@ -294,41 +209,20 @@ def run_scale_study(
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
     chosen_scenarios = list(scenarios or SCENARIOS)
     chosen_primitives = list(primitives or DEFAULT_PRIMITIVES)
-    if runs < 1:
-        raise ConfigurationError("need at least one run")
-
-    cells: List[Cell] = []
-    coords = []
-    for scenario in chosen_scenarios:
-        for size in sizes:
-            for primitive in chosen_primitives:
-                for rep in range(runs):
-                    coords.append((scenario, size, primitive))
-                    cells.append(
-                        Cell.make(
-                            "repro.experiments.scale_study",
-                            "_run_once",
-                            scenario=scenario,
-                            primitive_name=primitive,
-                            trackers=size,
-                            num_jobs=_jobs_for(size, num_jobs),
-                            seed=derive_seed(
-                                base_seed, "scale", scenario, size, primitive, rep
-                            ),
-                        )
-                    )
-    results = run_cells(cells, workers=workers)
-
-    metrics: Dict = {
-        s: {
-            size: {p: {k: [] for k in METRIC_KEYS} for p in chosen_primitives}
-            for size in sizes
-        }
-        for s in chosen_scenarios
-    }
-    for (scenario, size, primitive), out in zip(coords, results):
-        for key in METRIC_KEYS:
-            metrics[scenario][size][primitive][key].append(out[key])
+    grid = run_replay_grid(
+        "scale",
+        (chosen_scenarios, sizes, chosen_primitives),
+        runs,
+        lambda scenario, size, primitive, rep: dict(
+            scenario=scenario,
+            primitive_name=primitive,
+            trackers=size,
+            num_jobs=jobs_for(size, num_jobs),
+            seed=cell_seed(scenario, size, primitive, rep, base_seed),
+        ),
+        METRIC_KEYS,
+        workers,
+    )
 
     report = ExperimentReport(
         experiment_id="scale",
@@ -340,45 +234,21 @@ def run_scale_study(
         ),
     )
     for scenario in chosen_scenarios:
-        for key, y_label in (
-            ("mean_sojourn", "mean job sojourn (s)"),
-            ("small_mean_sojourn", "small-job mean sojourn (s)"),
-            ("wasted", "wasted work (s)"),
-        ):
-            series = Series(
-                name=f"scale-{scenario}-{key.replace('_', '-')}",
-                x_label="trackers",
-                y_label=y_label,
-                x_values=[float(size) for size in sizes],
-            )
-            for primitive in chosen_primitives:
-                series.add_curve(
-                    primitive,
-                    [
-                        summarize(metrics[scenario][size][primitive][key]).mean
-                        for size in sizes
-                    ],
-                )
-            report.add_series(series)
+        add_trackers_series(
+            report, f"scale-{scenario}", grid.metrics[scenario], sizes,
+            chosen_primitives,
+            (
+                ("mean_sojourn", "mean job sojourn (s)"),
+                ("small_mean_sojourn", "small-job mean sojourn (s)"),
+                ("wasted", "wasted work (s)"),
+            ),
+        )
     for scenario in chosen_scenarios:
         shape = SCENARIOS[scenario]
         report.add_note(
             f"{scenario}: mix={shape['mix']} arrivals={shape['arrival']}"
         )
-    flat = {
-        f"{s}/{size}/{p}/{k}": tuple(metrics[s][size][p][k])
-        for s in chosen_scenarios
-        for size in sizes
-        for p in chosen_primitives
-        for k in METRIC_KEYS
-    }
-    report.add_note(f"metrics digest: {metrics_digest(flat)}")
-    sketch = merge_sketches(results)
-    report.add_note(f"sketch digest: {sketch.digest()}")
-    report.extras["metrics"] = metrics
-    report.extras["digest"] = metrics_digest(flat)
-    report.extras["sketch"] = sketch.to_dict()
-    report.extras["sketch_digest"] = sketch.digest()
+    add_digests(report, grid)
     report.extras["scenarios"] = chosen_scenarios
     report.extras["cluster_sizes"] = sizes
     report.extras["primitives"] = chosen_primitives

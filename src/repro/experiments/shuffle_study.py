@@ -30,19 +30,22 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import params as P
-from repro.experiments.drive import drive_to_completion, install_counter
+from repro.experiments.drive import (
+    add_digests,
+    add_trackers_series,
+    jobs_for,
+    load_replay,
+    run_replay,
+    run_replay_grid,
+)
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Cell, derive_seed, run_cells
-from repro.experiments.scale_study import metrics_digest
-from repro.experiments.sketches import cell_sketch, merge_sketches
+from repro.experiments.runner import derive_seed
 from repro.hadoop.cluster import HadoopCluster
-from repro.metrics.series import Series
-from repro.metrics.stats import percentile, summarize
 from repro.netmodel.config import NetConfig
 from repro.preemption.base import make_primitive
 from repro.schedulers.hfsp import HfspScheduler
 from repro.units import MB
-from repro.workloads.swim import MIXES, ArrivalSpec, SwimGenerator
+from repro.workloads.swim import ArrivalSpec
 
 DEFAULT_CLUSTER_SIZES = (25, 100)
 DEFAULT_PRIMITIVES = ("wait", "kill", "suspend")
@@ -70,6 +73,29 @@ METRIC_KEYS = (
 )
 
 
+#: the study's default base seed (see :func:`cell_seed`)
+BASE_SEED = 11000
+
+#: cell params -> the cell's name in errors and its sketch prefix
+CELL_NAME = "{primitive_name}/{trackers}"
+SKETCH_PREFIX = "{primitive_name}/{trackers}/{oversubscription:g}/"
+
+
+def cell_seed(
+    trackers: int,
+    primitive_name: str,
+    oversubscription: float = 2.5,
+    locality_wait: float = 0.0,
+    rep: int = 0,
+    base_seed: int = BASE_SEED,
+) -> int:
+    """The seed of one grid cell, derived from its coordinates."""
+    return derive_seed(
+        base_seed, "shuffle", trackers, primitive_name, oversubscription,
+        locality_wait, rep,
+    )
+
+
 def _run_once(
     primitive_name: str,
     trackers: int,
@@ -88,6 +114,24 @@ def _run_once(
     ``heartbeat_phases`` the heartbeat grid (same contract as
     :func:`repro.experiments.scale_study._run_once`).
     """
+    return run_replay("shuffle", locals())
+
+
+def _build_run(
+    primitive_name: str,
+    trackers: int,
+    num_jobs: int,
+    oversubscription: float,
+    seed: int,
+    locality_wait: float = 0.0,
+    trace: bool = False,
+    collector=None,
+    profile: bool = False,
+    heartbeat_phases: int = 0,
+):
+    """Build one fully loaded (but not yet driven) shuffle cell;
+    returns ``(cluster, completion_counter)`` (see
+    :func:`repro.experiments.scale_study._build_run`)."""
     if oversubscription <= 0:
         raise ConfigurationError("oversubscription must be positive")
     if primitive_name == "wait":
@@ -119,83 +163,28 @@ def _run_once(
         net_config=net,
         profile=profile,
     )
-    scheduler.attach_cluster(cluster)
-    if collector is not None:
-        collector.attach(cluster.sim.trace_log)
-
-    generator = SwimGenerator(
-        cluster.sim.rng.stream("swim"),
-        classes=MIXES["shuffle-heavy"],
-        arrival=ArrivalSpec(
-            kind="poisson", mean_interarrival=LOAD_SECONDS / trackers
-        ),
-    )
-    specs = generator.generate_workload(num_jobs)
-    small_names = {spec.name for spec in specs if len(spec.map_tasks) <= 3}
-    for spec in specs:
-        cluster.submit_job(spec)
-
-    finished = install_counter(cluster)
-    drive_to_completion(
-        cluster, finished, num_jobs,
-        what=f"shuffle cell {primitive_name}/{trackers}",
+    return load_replay(
+        cluster, collector, "shuffle-heavy",
+        ArrivalSpec(kind="poisson", mean_interarrival=LOAD_SECONDS / trackers),
+        num_jobs,
     )
 
-    jobs = list(cluster.jobtracker.jobs.values())
-    sojourns = sorted(
-        job.sojourn_time for job in jobs if job.sojourn_time is not None
-    )
-    if not sojourns:
-        # Name the stall instead of dividing by an empty job list.
-        raise ConfigurationError(
-            f"shuffle cell {primitive_name}/{trackers} drained its event "
-            f"queue with 0/{num_jobs} jobs complete (scheduling deadlock?)"
-        )
-    small = [
-        job.sojourn_time
-        for job in jobs
-        if job.spec.name in small_names and job.sojourn_time is not None
-    ]
-    finish = max(job.finish_time for job in jobs if job.finish_time is not None)
+
+def _extra_metrics(cluster) -> Dict[str, float]:
     fabric = cluster.fabric
-    out = {
-        "mean_sojourn": sum(sojourns) / len(sojourns),
-        "p95_sojourn": percentile(sojourns, 95),
-        "small_mean_sojourn": sum(small) / len(small) if small else 0.0,
-        "makespan": finish,
-        "wasted": cluster.jobtracker.wasted.total(),
+    return {
         "wasted_net_mb": cluster.wasted_network_bytes() / MB,
-        "preemptions": float(scheduler.preemptions),
+        "preemptions": float(cluster.scheduler.preemptions),
         "uplink_util": fabric.mean_uplink_utilization(),
         "core_util": fabric.core.mean_utilization(cluster.sim.now),
         "offrack_flows": float(fabric.offrack_flows),
         "flows_completed": float(fabric.flows_completed),
-        "jobs_completed": float(finished.count),
-        "events": float(cluster.sim.events_fired),
     }
-    out["sketch"] = cell_sketch(
-        f"{primitive_name}/{trackers}/{oversubscription:g}/",
-        sojourns, small, out,
-    )
-    if trace:
-        out["trace_digest"] = cluster.sim.trace_log.digest()
-        out["science_digest"] = cluster.sim.trace_log.science_digest()
-    if profile:
-        from repro.telemetry.profiling import engine_stats
-
-        out["engine"] = engine_stats(cluster.sim)
-    return out
-
-
-def _jobs_for(trackers: int, num_jobs: Optional[int]) -> int:
-    if num_jobs is not None:
-        return num_jobs
-    return max(trackers, 10)
 
 
 def run_shuffle_study(
     runs: int = 1,
-    base_seed: int = 11000,
+    base_seed: int = BASE_SEED,
     cluster_sizes: Optional[List[int]] = None,
     primitives: Optional[List[str]] = None,
     num_jobs: Optional[int] = None,
@@ -206,44 +195,24 @@ def run_shuffle_study(
     """Shuffle-heavy SWIM replay on an oversubscribed fabric."""
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
     chosen_primitives = list(primitives or DEFAULT_PRIMITIVES)
-    if runs < 1:
-        raise ConfigurationError("need at least one run")
-
-    cells: List[Cell] = []
-    coords = []
-    for size in sizes:
-        for primitive in chosen_primitives:
-            for rep in range(runs):
-                coords.append((size, primitive))
-                cells.append(
-                    Cell.make(
-                        "repro.experiments.shuffle_study",
-                        "_run_once",
-                        primitive_name=primitive,
-                        trackers=size,
-                        num_jobs=_jobs_for(size, num_jobs),
-                        oversubscription=oversubscription,
-                        locality_wait=locality_wait,
-                        seed=derive_seed(
-                            base_seed,
-                            "shuffle",
-                            size,
-                            primitive,
-                            oversubscription,
-                            locality_wait,
-                            rep,
-                        ),
-                    )
-                )
-    results = run_cells(cells, workers=workers)
-
-    metrics: Dict = {
-        size: {p: {k: [] for k in METRIC_KEYS} for p in chosen_primitives}
-        for size in sizes
-    }
-    for (size, primitive), out in zip(coords, results):
-        for key in METRIC_KEYS:
-            metrics[size][primitive][key].append(out[key])
+    grid = run_replay_grid(
+        "shuffle",
+        (sizes, chosen_primitives),
+        runs,
+        lambda size, primitive, rep: dict(
+            primitive_name=primitive,
+            trackers=size,
+            num_jobs=jobs_for(size, num_jobs),
+            oversubscription=oversubscription,
+            locality_wait=locality_wait,
+            seed=cell_seed(
+                size, primitive, oversubscription, locality_wait, rep,
+                base_seed,
+            ),
+        ),
+        METRIC_KEYS,
+        workers,
+    )
 
     report = ExperimentReport(
         experiment_id="shuffle",
@@ -257,45 +226,21 @@ def run_shuffle_study(
             "recross the oversubscribed uplinks from scratch"
         ),
     )
-    for key, y_label in (
-        ("mean_sojourn", "mean job sojourn (s)"),
-        ("small_mean_sojourn", "small-job mean sojourn (s)"),
-        ("wasted_net_mb", "wasted network traffic (MB)"),
-        ("uplink_util", "mean uplink utilization"),
-    ):
-        series = Series(
-            name=f"shuffle-{key.replace('_', '-')}",
-            x_label="trackers",
-            y_label=y_label,
-            x_values=[float(size) for size in sizes],
-        )
-        for primitive in chosen_primitives:
-            series.add_curve(
-                primitive,
-                [
-                    summarize(metrics[size][primitive][key]).mean
-                    for size in sizes
-                ],
-            )
-        report.add_series(series)
-    flat = {
-        f"{size}/{p}/{k}": tuple(metrics[size][p][k])
-        for size in sizes
-        for p in chosen_primitives
-        for k in METRIC_KEYS
-    }
+    add_trackers_series(
+        report, "shuffle", grid.metrics, sizes, chosen_primitives,
+        (
+            ("mean_sojourn", "mean job sojourn (s)"),
+            ("small_mean_sojourn", "small-job mean sojourn (s)"),
+            ("wasted_net_mb", "wasted network traffic (MB)"),
+            ("uplink_util", "mean uplink utilization"),
+        ),
+    )
     report.add_note(
         f"fabric: {HOSTS_PER_RACK} hosts/rack, uplinks "
         f"{oversubscription:g}x oversubscribed, "
         f"locality wait {locality_wait:g}s"
     )
-    report.add_note(f"metrics digest: {metrics_digest(flat)}")
-    sketch = merge_sketches(results)
-    report.add_note(f"sketch digest: {sketch.digest()}")
-    report.extras["metrics"] = metrics
-    report.extras["digest"] = metrics_digest(flat)
-    report.extras["sketch"] = sketch.to_dict()
-    report.extras["sketch_digest"] = sketch.digest()
+    add_digests(report, grid)
     report.extras["cluster_sizes"] = sizes
     report.extras["primitives"] = chosen_primitives
     report.extras["oversubscription"] = oversubscription

@@ -55,14 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, QuarantineError, SupervisorError
 from repro.experiments.chaos import ChaosPlan, corrupt_payload
 
-#: (module, func) -> checkpoint-cell kind: cells whose module exposes
-#: the PR 7 build/finish split and can therefore resume mid-cell via
-#: ``repro.checkpoint.cells.finish_cell``
-RESUMABLE_CELLS: Dict[Tuple[str, str], str] = {
-    ("repro.experiments.scale_study", "_run_once"): "scale",
-    ("repro.experiments.memscale_study", "_run_once"): "memscale",
-}
-
 #: watchdog poll tick (wall seconds); only latency, never results,
 #: depends on it
 _TICK = 0.05
@@ -96,6 +88,8 @@ class SupervisorConfig:
             raise ConfigurationError("max_retries must be >= 0")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ConfigurationError("cell_timeout must be > 0 seconds")
+        if self.snapshot_every is not None and self.snapshot_every < 0:
+            raise ConfigurationError("snapshot_every must be >= 0 seconds")
         if self.chaos is not None and self.chaos.requires_timeout() and (
             self.cell_timeout is None
         ):
@@ -183,63 +177,55 @@ def execute_cell_resumable(
     cell,
     cache_dir: Optional[str],
     snapshot_every: Optional[float],
+    ledger=None,
 ) -> Any:
     """Run one cell, resuming from (and refreshing) its mid-cell
-    checkpoint when the cell supports it.
+    checkpoint when it is a replay-study cell.
 
-    Non-resumable cells, or runs without a cache directory or snapshot
+    Other cells, or runs without a cache directory or snapshot
     interval, fall through to the plain
-    :func:`repro.experiments.runner.execute_cell`.  On success any
-    mid-cell checkpoint is deleted -- the finished result supersedes
-    it.
+    :func:`repro.experiments.runner.execute_cell`.  A replay cell
+    restores ``<cache>/<key>.midck`` when a usable one exists (else
+    builds from zero) and finishes through
+    :func:`repro.experiments.drive.finish_replay`, which rewrites the
+    file every ``snapshot_every`` virtual seconds and narrates each
+    write to ``ledger``.  On success the mid-cell checkpoint is
+    deleted -- the finished result supersedes it.
     """
-    from repro.experiments import drive
+    from repro.checkpoint.core import load, restore
+    from repro.errors import SnapshotError
+    from repro.experiments.drive import (
+        AutoSnapshot,
+        finish_replay,
+        replay_kind,
+        replay_study,
+    )
     from repro.experiments.runner import cell_key, execute_cell
 
-    kind = RESUMABLE_CELLS.get((cell.module, cell.func))
+    kind = replay_kind(cell)
     if kind is None or cache_dir is None or not snapshot_every:
         return execute_cell(cell)
 
     midck = os.path.join(cache_dir, cell_key(cell) + ".midck")
+    cluster = None
     meta = {"kind": kind, **cell.kwargs}
     if os.path.exists(midck):
-        result = _resume_midcell(midck, snapshot_every)
-        if result is not None:
-            return result
-    drive.set_autosnapshot(midck, snapshot_every, meta)
-    try:
-        result = execute_cell(cell)
-    finally:
-        drive.set_autosnapshot(None)
-    _remove_quietly(midck)
-    return result
-
-
-def _resume_midcell(midck: str, snapshot_every: float) -> Optional[Any]:
-    """Finish a cell from its mid-cell checkpoint; None = unusable
-    (corrupt, stale schema) and the caller should run from zero."""
-    from repro.checkpoint.cells import finish_cell
-    from repro.checkpoint.core import load, restore
-    from repro.errors import SnapshotError
-    from repro.experiments import drive
-
-    try:
-        checkpoint = load(midck)
-        cluster = restore(checkpoint)
-    except SnapshotError as exc:
-        print(
-            f"warning: mid-cell checkpoint {midck} unusable ({exc}); "
-            "re-running the cell from zero",
-            file=sys.stderr,
-        )
-        _remove_quietly(midck)
-        return None
-    meta = dict(checkpoint.meta)
-    drive.set_autosnapshot(midck, snapshot_every, meta)
-    try:
-        result = finish_cell(cluster, meta)
-    finally:
-        drive.set_autosnapshot(None)
+        try:
+            checkpoint = load(midck)
+            cluster = restore(checkpoint)
+            meta = dict(checkpoint.meta)
+        except SnapshotError as exc:
+            print(
+                f"warning: mid-cell checkpoint {midck} unusable ({exc}); "
+                "re-running the cell from zero",
+                file=sys.stderr,
+            )
+            _remove_quietly(midck)
+    if cluster is None:
+        cluster, _ = replay_study(kind)._build_run(**cell.kwargs)
+    result = finish_replay(
+        cluster, meta, AutoSnapshot(midck, snapshot_every, meta, ledger)
+    )
     _remove_quietly(midck)
     return result
 
@@ -267,16 +253,17 @@ def _worker_main(
     When the sweep has a file ledger, the worker opens its own
     ``O_APPEND`` handle on it (line appends are atomic, so parent and
     worker records interleave only at line boundaries) and arms it as
-    the process ledger -- which is how mid-cell snapshot writes inside
-    the drive loop get narrated.
+    the mid-cell snapshot ledger -- which is how snapshot writes
+    inside the drive loop get narrated.
     """
     from repro.experiments.runner import cell_key
 
+    ledger = None
     if ledger_path is not None:
-        from repro.obs.ledger import Ledger, set_process_ledger
+        from repro.obs.ledger import Ledger
 
         try:
-            set_process_ledger(Ledger(ledger_path))
+            ledger = Ledger(ledger_path)
         except OSError:
             pass  # observation never takes down the shard
 
@@ -310,7 +297,9 @@ def _worker_main(
         if fault is not None and fault.kind == "kill-mid":
             _MidcellKiller(fault.delay).start()
         try:
-            result = execute_cell_resumable(cell, cache_dir, snapshot_every)
+            result = execute_cell_resumable(
+                cell, cache_dir, snapshot_every, ledger
+            )
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             digest = hashlib.sha256(payload).hexdigest()
             if fault is not None and fault.kind == "corrupt":

@@ -122,24 +122,6 @@ class Ledger:
         self.close()
 
 
-#: the per-process ledger armed by the supervisor in each worker, so
-#: deep hooks (the drive loop's mid-cell snapshot writer) can emit
-#: without threading a ledger through every study signature -- the
-#: same pattern as the runner's progress/cache module state
-_process_ledger: Optional[Ledger] = None
-
-
-def set_process_ledger(ledger: Optional[Ledger]) -> None:
-    """Arm (or, with ``None``, disarm) this process's ledger sink."""
-    global _process_ledger
-    _process_ledger = ledger
-
-
-def process_ledger() -> Optional[Ledger]:
-    """The armed per-process ledger (None when disarmed)."""
-    return _process_ledger
-
-
 def _decode_line(raw: bytes, lineno: int, path: str,
                  warn: bool = True) -> Optional[Dict[str, Any]]:
     """One ledger line -> record, or None (skipped) with a warning.

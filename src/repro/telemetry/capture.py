@@ -148,20 +148,18 @@ def _capture_scale(
     quick: bool, seed: Optional[int], profile: bool,
     heartbeats: bool = False,
 ) -> TelemetryCapture:
-    from repro.experiments.runner import derive_seed
-    from repro.experiments.scale_study import _run_once
+    from repro.experiments.scale_study import _run_once, cell_seed
 
     trackers = 10 if quick else 25
-    cell_seed = seed if seed is not None else derive_seed(
-        9000, "scale", "baseline", trackers, "suspend", 0
-    )
+    if seed is None:
+        seed = cell_seed("baseline", trackers, "suspend")
     collector = SpanCollector(include_heartbeats=heartbeats)
     out = _run_once(
         scenario="baseline",
         primitive_name="suspend",
         trackers=trackers,
         num_jobs=trackers,
-        seed=cell_seed,
+        seed=seed,
         collector=collector,
         profile=profile,
     )
@@ -174,20 +172,18 @@ def _capture_shuffle(
     quick: bool, seed: Optional[int], profile: bool,
     heartbeats: bool = False,
 ) -> TelemetryCapture:
-    from repro.experiments.runner import derive_seed
-    from repro.experiments.shuffle_study import _run_once
+    from repro.experiments.shuffle_study import _run_once, cell_seed
 
     trackers = 10 if quick else 25
-    cell_seed = seed if seed is not None else derive_seed(
-        11000, "shuffle", trackers, "kill", 2.5, 0.0, 0
-    )
+    if seed is None:
+        seed = cell_seed(trackers, "kill")
     collector = SpanCollector(include_heartbeats=heartbeats)
     out = _run_once(
         primitive_name="kill",
         trackers=trackers,
         num_jobs=trackers,
         oversubscription=2.5,
-        seed=cell_seed,
+        seed=seed,
         collector=collector,
         profile=profile,
     )
@@ -200,24 +196,17 @@ def _capture_memscale(
     quick: bool, seed: Optional[int], profile: bool,
     heartbeats: bool = False,
 ) -> TelemetryCapture:
-    from repro.experiments.memscale_study import (
-        RESERVE_BYTES,
-        SWAP_BYTES,
-        _run_once,
-    )
-    from repro.experiments.runner import derive_seed
+    from repro.experiments.memscale_study import _run_once, cell_seed
 
     trackers = 10 if quick else 25
-    cell_seed = seed if seed is not None else derive_seed(
-        12000, "memscale", trackers, "suspend-gated",
-        SWAP_BYTES, RESERVE_BYTES, 0,
-    )
+    if seed is None:
+        seed = cell_seed(trackers, "suspend-gated")
     collector = SpanCollector(include_heartbeats=heartbeats)
     out = _run_once(
         mode="suspend-gated",
         trackers=trackers,
         num_jobs=trackers,
-        seed=cell_seed,
+        seed=seed,
         collector=collector,
         profile=profile,
     )

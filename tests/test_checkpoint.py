@@ -22,6 +22,7 @@ from repro.checkpoint import (
     snapshot,
     validate_header,
 )
+from repro.checkpoint.cells import CELL_DEFAULTS
 from repro.checkpoint.core import FORMAT_VERSION, MAGIC, Checkpoint
 from repro.errors import (
     SnapshotError,
@@ -247,7 +248,7 @@ class TestRepresentativeCells:
     with the unbroken finish on the TraceLog digest and every metric.
     """
 
-    @pytest.mark.parametrize("kind", ["fig2", "scale", "memscale"])
+    @pytest.mark.parametrize("kind", sorted(CELL_DEFAULTS))
     def test_resume_matches_unbroken_run(self, kind, tmp_path):
         from repro.checkpoint.cells import checkpoint_cell, resume_cell
 

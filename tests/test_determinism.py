@@ -190,6 +190,7 @@ class TestScale2000GoldenTrace:
     def test_checkpoint_resume_identity(self, tmp_path):
         from repro.checkpoint.core import load, restore
         from repro.experiments import scale_study
+        from repro.experiments.drive import finish_replay
 
         kwargs = self._cell_kwargs(0)
         cluster, _ = scale_study._build_run(
@@ -205,9 +206,9 @@ class TestScale2000GoldenTrace:
         }
         path = str(tmp_path / "scale2000.ck")
         cluster.sim.snapshot_at(120.0, path, root=cluster, meta=meta)
-        unbroken = scale_study._finish_run(cluster, meta)
+        unbroken = finish_replay(cluster, meta)
         checkpoint = load(path)
-        resumed = scale_study._finish_run(
+        resumed = finish_replay(
             restore(checkpoint), dict(checkpoint.meta)
         )
         assert resumed == unbroken

@@ -14,8 +14,8 @@ import pytest
 from repro.errors import ConfigurationError, QuarantineError, SupervisorError
 from repro.experiments.chaos import ChaosFault, make_plan
 from repro.experiments.runner import Cell, cell_key, run_cells
+from repro.experiments.drive import REPLAY_STUDIES, replay_kind
 from repro.experiments.supervisor import (
-    RESUMABLE_CELLS,
     SupervisorConfig,
     execute_cell_resumable,
     retry_backoff,
@@ -276,24 +276,25 @@ class TestCrashRecovery:
 
 
 def _scale_cell(num_jobs=5, trackers=5):
-    from repro.experiments.runner import derive_seed
+    from repro.experiments.scale_study import cell_seed
 
-    seed = derive_seed(9000, "scale", "baseline", trackers, "suspend", 0)
     return Cell.make(
         "repro.experiments.scale_study", "_run_once",
         scenario="baseline", primitive_name="suspend", trackers=trackers,
-        num_jobs=num_jobs, seed=seed, trace=True,
+        num_jobs=num_jobs, seed=cell_seed("baseline", trackers, "suspend"),
+        trace=True,
     )
 
 
 class TestMidcellResume:
-    def test_registry_names_the_long_studies(self):
-        assert RESUMABLE_CELLS[
-            ("repro.experiments.scale_study", "_run_once")
-        ] == "scale"
-        assert RESUMABLE_CELLS[
-            ("repro.experiments.memscale_study", "_run_once")
-        ] == "memscale"
+    def test_registry_names_the_replay_studies(self):
+        assert REPLAY_STUDIES == {
+            "scale": "repro.experiments.scale_study",
+            "shuffle": "repro.experiments.shuffle_study",
+            "memscale": "repro.experiments.memscale_study",
+        }
+        assert replay_kind(_scale_cell()) == "scale"
+        assert replay_kind(probes(1)[0]) is None
 
     def test_non_resumable_cell_falls_through(self, tmp_path):
         cell = probes(1)[0]
@@ -313,26 +314,32 @@ class TestMidcellResume:
         midck = tmp_path / (cell_key(cell) + ".midck")
         assert not midck.exists()
 
+    @pytest.mark.parametrize("kind", sorted(REPLAY_STUDIES))
     def test_resume_from_midcell_checkpoint_is_byte_identical(
-        self, tmp_path
+        self, kind, tmp_path, monkeypatch
     ):
+        from repro.checkpoint.cells import CELL_DEFAULTS, build_cell
         from repro.checkpoint.core import save
-        from repro.experiments import scale_study
+        from repro.experiments.drive import find_counter, replay_study
         from repro.experiments.runner import execute_cell
 
-        cell = _scale_cell()
+        cluster, meta = build_cell(kind)
+        params = {key: value for key, value in meta.items() if key != "kind"}
+        cell = Cell.make(REPLAY_STUDIES[kind], "_run_once", **params)
         clean = execute_cell(cell)
-        # Craft the crash artifact: a cell frozen ~80 virtual seconds
-        # in, exactly what a SIGKILLed shard leaves behind.
-        cluster, _counter = scale_study._build_run(
-            "baseline", "suspend", 5, 5, cell.kwargs["seed"], trace=True
-        )
+        # Craft the crash artifact: a cell frozen mid-flight, exactly
+        # what a SIGKILLed shard leaves behind.
         cluster.start()
-        while cluster.sim.now < 80.0 and cluster.sim.step():
+        while cluster.sim.now < CELL_DEFAULTS[kind]["at"] and cluster.sim.step():
             pass
+        assert find_counter(cluster).count < params["num_jobs"]
         midck = tmp_path / (cell_key(cell) + ".midck")
-        save(cluster, str(midck), meta={"kind": "scale", **cell.kwargs})
+        save(cluster, str(midck), meta=meta)
 
+        def rebuild(**_params):
+            raise AssertionError("resumed cell was rebuilt from zero")
+
+        monkeypatch.setattr(replay_study(kind), "_build_run", rebuild)
         resumed = execute_cell_resumable(cell, str(tmp_path), 50.0)
         assert resumed == clean
         assert resumed["trace_digest"] == clean["trace_digest"]

@@ -122,8 +122,7 @@ def bench_scale_shuffle_100(scale: float = 1.0) -> dict:
 def bench_shuffle_net_25(scale: float = 1.0) -> dict:
     """The network-fabric smoke cell: flow-routed shuffle under kill
     on oversubscribed uplinks (the ``shuffle`` experiment's machinery)."""
-    from repro.experiments.runner import derive_seed
-    from repro.experiments.shuffle_study import _run_once
+    from repro.experiments.shuffle_study import _run_once, cell_seed
 
     trackers = max(int(25 * scale), 5)
     num_jobs = max(int(25 * scale), 5)
@@ -132,7 +131,7 @@ def bench_shuffle_net_25(scale: float = 1.0) -> dict:
         trackers=trackers,
         num_jobs=num_jobs,
         oversubscription=2.5,
-        seed=derive_seed(11000, "shuffle", trackers, "kill", 2.5, 0.0, 0),
+        seed=cell_seed(trackers, "kill"),
         profile=True,
     )
     return {"events": int(out["events"]), "engine_ops": 0,
@@ -144,12 +143,7 @@ def bench_memscale_25(scale: float = 1.0) -> dict:
     swap-constrained nodes (the ``memscale`` experiment's machinery:
     headroom snapshots per heartbeat, the admission gate on every
     preemption decision, stateful footprints through the VMM)."""
-    from repro.experiments.memscale_study import (
-        RESERVE_BYTES,
-        SWAP_BYTES,
-        _run_once,
-    )
-    from repro.experiments.runner import derive_seed
+    from repro.experiments.memscale_study import _run_once, cell_seed
 
     trackers = max(int(25 * scale), 5)
     num_jobs = max(int(25 * scale), 5)
@@ -157,10 +151,7 @@ def bench_memscale_25(scale: float = 1.0) -> dict:
         mode="suspend-gated",
         trackers=trackers,
         num_jobs=num_jobs,
-        seed=derive_seed(
-            12000, "memscale", trackers, "suspend-gated",
-            SWAP_BYTES, RESERVE_BYTES, 0,
-        ),
+        seed=cell_seed(trackers, "suspend-gated"),
         profile=True,
     )
     return {"events": int(out["events"]), "engine_ops": 0,
@@ -232,18 +223,16 @@ def _steady_scale_cell(trackers: int, num_jobs: int) -> dict:
     """
     import hashlib
 
-    from repro.experiments.runner import derive_seed
-    from repro.experiments.scale_study import _build_run, _finish_run
+    from repro.experiments.drive import finish_replay
+    from repro.experiments.scale_study import _build_run, cell_seed
 
-    cluster, _ = _build_run(
-        "steady", "suspend", trackers, num_jobs,
-        derive_seed(9000, "scale", "steady", trackers, "suspend", 0),
+    params = dict(
+        scenario="steady", primitive_name="suspend", trackers=trackers,
+        num_jobs=num_jobs, seed=cell_seed("steady", trackers, "suspend"),
         heartbeat_phases=4,
     )
-    out = _finish_run(cluster, {
-        "scenario": "steady", "primitive_name": "suspend",
-        "trackers": trackers, "num_jobs": num_jobs,
-    })
+    cluster, _ = _build_run(**params)
+    out = finish_replay(cluster, {"kind": "scale", **params})
     sketch = json.dumps(out["sketch"], sort_keys=True).encode("utf-8")
     sim = cluster.sim
     return {
@@ -254,15 +243,14 @@ def _steady_scale_cell(trackers: int, num_jobs: int) -> dict:
 
 
 def _scale_cell(scenario: str, trackers: int, num_jobs: int) -> dict:
-    from repro.experiments.runner import derive_seed
-    from repro.experiments.scale_study import _run_once
+    from repro.experiments.scale_study import _run_once, cell_seed
 
     out = _run_once(
         scenario=scenario,
         primitive_name="suspend",
         trackers=trackers,
         num_jobs=num_jobs,
-        seed=derive_seed(9000, "scale", scenario, trackers, "suspend", 0),
+        seed=cell_seed(scenario, trackers, "suspend"),
         profile=True,
     )
     return {"events": int(out["events"]), "engine_ops": 0,
@@ -278,7 +266,8 @@ def bench_ledger_sweep(scale: float = 1.0) -> dict:
     machine-dependent."""
     import tempfile
 
-    from repro.experiments.runner import Cell, derive_seed, run_cells
+    from repro.experiments.runner import Cell, run_cells
+    from repro.experiments.scale_study import cell_seed
     from repro.obs import replay
     from repro.obs.ledger import ledger_path
 
@@ -289,8 +278,7 @@ def bench_ledger_sweep(scale: float = 1.0) -> dict:
             "repro.experiments.scale_study", "_run_once",
             scenario="baseline", primitive_name=primitive,
             trackers=trackers, num_jobs=num_jobs,
-            seed=derive_seed(9000, "scale", "baseline", trackers,
-                             primitive, 0),
+            seed=cell_seed("baseline", trackers, primitive),
         )
         for primitive in ("wait", "suspend", "kill")
     ]

@@ -28,21 +28,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import QuarantineError  # noqa: E402
 from repro.experiments.chaos import ChaosFault, make_plan  # noqa: E402
-from repro.experiments.runner import (  # noqa: E402
-    Cell,
-    cell_key,
-    derive_seed,
-    run_cells,
-)
+from repro.experiments.runner import Cell, cell_key, run_cells  # noqa: E402
+from repro.experiments.scale_study import cell_seed  # noqa: E402
 from repro.experiments.supervisor import SupervisorConfig  # noqa: E402
 
 
 def _grid(trackers: int, num_jobs: int):
     cells = []
     for primitive in ("wait", "suspend", "kill"):
-        seed = derive_seed(
-            9000, "scale", "baseline", trackers, primitive, 0
-        )
+        seed = cell_seed("baseline", trackers, primitive)
         cells.append(Cell.make(
             "repro.experiments.scale_study", "_run_once",
             scenario="baseline", primitive_name=primitive,
