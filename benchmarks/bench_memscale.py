@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import run_and_report
 from repro.experiments.memscale_study import run_memscale_study
-from repro.experiments.runner import default_workers
+from repro.experiments.runner import SweepOptions, default_workers
 
 
 def _mean(metrics, size, mode, key):
@@ -47,7 +47,7 @@ def bench_memscale_paper_axes(benchmark):
         "E11: memory-oversubscribed replay across cluster sizes",
         plots=False,
         runs=1,
-        workers=default_workers(),
+        sweep=SweepOptions(workers=default_workers()),
     )
     metrics = report.extras["metrics"]
     for size in report.extras["cluster_sizes"]:

@@ -9,7 +9,7 @@ excluded from the default run via the ``slow`` mark.
 import pytest
 
 from benchmarks.conftest import run_and_report
-from repro.experiments.runner import default_workers
+from repro.experiments.runner import SweepOptions, default_workers
 from repro.experiments.scale_study import run_scale_study
 
 
@@ -48,7 +48,7 @@ def bench_scale_paper_axes(benchmark):
         "E9: SWIM replay across cluster sizes",
         plots=False,
         runs=1,
-        workers=default_workers(),
+        sweep=SweepOptions(workers=default_workers()),
     )
     metrics = report.extras["metrics"]
     sizes = report.extras["cluster_sizes"]

@@ -9,7 +9,7 @@ less network traffic than killing; the slow bench regenerates the full
 import pytest
 
 from benchmarks.conftest import run_and_report
-from repro.experiments.runner import default_workers
+from repro.experiments.runner import SweepOptions, default_workers
 from repro.experiments.shuffle_study import run_shuffle_study
 
 
@@ -43,7 +43,7 @@ def bench_shuffle_paper_axes(benchmark):
         "E10: shuffle study across cluster sizes",
         plots=False,
         runs=1,
-        workers=default_workers(),
+        sweep=SweepOptions(workers=default_workers()),
     )
     metrics = report.extras["metrics"]
     for size in report.extras["cluster_sizes"]:

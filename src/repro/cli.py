@@ -280,29 +280,72 @@ def _resolve_workers(requested: int) -> int:
     return requested
 
 
-def _apply_workers(name: str, runner, kwargs: dict, requested: int) -> None:
-    """Pass --workers to experiments whose runner accepts the knob."""
+#: `repro run` flags that only a cell sweep reads, besides --workers
+_SWEEP_FLAGS = ("checkpoint_dir", "max_retries", "cell_timeout",
+                "snapshot_every", "chaos", "serve")
+
+
+def _takes_sweep(name: str, runner, args) -> bool:
+    """Does the experiment run a cell sweep (its runner takes
+    ``sweep``)?  If not, warn about each sweep flag the command gave."""
     import inspect
 
-    workers = _resolve_workers(requested)
-    if workers <= 1:
-        return
-    accepted = set(inspect.signature(runner.resolve()).parameters)
-    if "workers" in accepted:
-        kwargs["workers"] = workers
-    else:
-        print(
-            f"warning: {name} runs serially; ignoring --workers",
-            file=sys.stderr,
-        )
+    if "sweep" in inspect.signature(runner.resolve()).parameters:
+        return True
+    flags = vars(args)
+    ignored = ["--workers"] if _resolve_workers(args.workers) > 1 else []
+    ignored += ["--" + key.replace("_", "-") for key in _SWEEP_FLAGS
+                if flags.get(key) is not None]
+    for flag in ignored:
+        print(f"warning: {name} runs no cell sweep; ignoring {flag}",
+              file=sys.stderr)
+    return False
 
 
-def _set_progress(args) -> None:
-    """Per-cell progress lines: on by default for parallel runs (the
-    ones long enough to want them), off under --quiet."""
-    from repro.experiments.runner import set_progress
+def _sweep_options(args):
+    """The command's one :class:`~repro.experiments.runner.SweepOptions`,
+    built from its flags (``reproduce`` has only --workers and --quiet)
+    and passed to every experiment that runs a cell sweep."""
+    from repro.experiments.runner import SweepOptions
 
-    set_progress(_resolve_workers(args.workers) > 1 and not args.quiet)
+    flags = vars(args)
+    workers = _resolve_workers(args.workers)
+    cache_dir = flags.get("checkpoint_dir")
+    knobs = {
+        key: flags[key]
+        for key in ("max_retries", "cell_timeout", "snapshot_every")
+        if flags.get(key) is not None
+    }
+    if "snapshot_every" in knobs and cache_dir is None:
+        print("warning: mid-cell snapshots are written into "
+              "--checkpoint-dir; ignoring --snapshot-every without one",
+              file=sys.stderr)
+    supervise = None
+    if knobs:
+        from repro.experiments.supervisor import SupervisorConfig
+
+        supervise = SupervisorConfig(**knobs)
+    ledger = None
+    if flags.get("serve") is not None:
+        import tempfile
+
+        from repro.obs.ledger import ledger_path
+
+        # Without a cache directory, park the ledger in a throwaway
+        # spot purely so the HTTP endpoints have a file to tail.
+        directory = cache_dir or tempfile.mkdtemp(prefix="repro-obs-")
+        os.makedirs(directory, exist_ok=True)
+        ledger = ledger_path(directory)
+    return SweepOptions(
+        workers=workers,
+        cache_dir=cache_dir,
+        # Per-cell progress lines: on by default for parallel runs
+        # (the ones long enough to want them), off under --quiet.
+        progress=workers > 1 and not args.quiet,
+        ledger_path=ledger,
+        supervise=supervise,
+        chaos_seed=flags.get("chaos"),
+    )
 
 
 def _cmd_run(args) -> int:
@@ -310,28 +353,12 @@ def _cmd_run(args) -> int:
 
     name = resolve_name(args.experiment)
     runner = get_experiment(name)
-    _set_progress(args)
-    if args.checkpoint_dir is not None:
-        from repro.experiments.runner import set_cell_cache
-
-        set_cell_cache(args.checkpoint_dir)
-    if any(
-        value is not None
-        for value in (args.max_retries, args.cell_timeout,
-                      args.snapshot_every, args.chaos)
-    ):
-        from repro.experiments.runner import set_supervision
-
-        set_supervision(
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            snapshot_every=args.snapshot_every,
-            chaos_seed=args.chaos,
-        )
     kwargs = _quick_kwargs(name) if args.quick else {}
     if args.runs is not None:
         kwargs["runs"] = args.runs
-    _apply_workers(name, runner, kwargs, args.workers)
+    sweep = None
+    if _takes_sweep(name, runner, args):
+        sweep = kwargs["sweep"] = _sweep_options(args)
     if args.seed is not None:
         # Experiments name their seed knob base_seed or seed; pick the
         # one the real runner's signature declares.
@@ -346,22 +373,10 @@ def _cmd_run(args) -> int:
                 file=sys.stderr,
             )
     server = None
-    if args.serve is not None:
-        import tempfile
-
-        from repro.experiments.runner import set_ledger
-        from repro.obs.ledger import ledger_path
+    if sweep is not None and sweep.ledger_path is not None:
         from repro.obs.server import ObsServer
 
-        if args.checkpoint_dir is not None:
-            os.makedirs(args.checkpoint_dir, exist_ok=True)
-            path = ledger_path(args.checkpoint_dir)
-        else:
-            # No cache directory: park the ledger in a throwaway spot
-            # purely so the HTTP endpoints have a file to tail.
-            path = ledger_path(tempfile.mkdtemp(prefix="repro-obs-"))
-            set_ledger(path)
-        server = ObsServer(path, port=args.serve).start()
+        server = ObsServer(sweep.ledger_path, port=args.serve).start()
         print(
             f"observatory at {server.url} -- GET / (dashboard), "
             "/state (JSON), /events (SSE); or `repro watch "
@@ -395,7 +410,7 @@ def _cmd_reproduce(args) -> int:
     if not names:
         print("nothing to do: pass --figure or --all", file=sys.stderr)
         return 2
-    _set_progress(args)
+    sweep = _sweep_options(args)
     exit_code = 0
     for raw_name in names:
         name = resolve_name(raw_name)
@@ -405,7 +420,8 @@ def _cmd_reproduce(args) -> int:
             kwargs["runs"] = args.runs
         if name == "fig1":
             kwargs.pop("runs", None)
-        _apply_workers(name, runner, kwargs, args.workers)
+        if _takes_sweep(name, runner, args):
+            kwargs["sweep"] = sweep
         report = runner(**kwargs)
         _emit_report(report, args.out, plots=not args.no_plots)
     return exit_code

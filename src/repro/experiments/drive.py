@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import Cell, SweepOptions
 from repro.experiments.sketches import cell_sketch, merge_sketches
 from repro.metrics.series import Series
 from repro.metrics.stats import percentile, summarize
@@ -295,15 +296,13 @@ def run_replay_grid(
     runs: int,
     params_for: Callable[..., Dict[str, Any]],
     metric_keys: Sequence[str],
-    workers: int,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ReplayGrid:
     """Run ``runs`` repetitions of every point of ``axes`` as one sweep.
 
     ``params_for(*point, rep)`` gives a cell's ``_run_once`` params;
     cells run in ``itertools.product`` order, repetitions innermost.
     """
-    from repro.experiments.runner import Cell, run_cells
-
     if runs < 1:
         raise ConfigurationError("need at least one run")
     points = list(itertools.product(*axes))
@@ -312,7 +311,7 @@ def run_replay_grid(
         for point in points
         for rep in range(runs)
     ]
-    results = run_cells(cells, workers=workers)
+    results = sweep.run(cells)
     metrics: Dict = {}
     leaves = {}
     for point in points:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.errors import NotPreemptibleError
 from repro.experiments import params as P
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import Cell, run_cells
+from repro.experiments.runner import Cell, SweepOptions
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import build_scenario
 from repro.hadoop.cluster import HadoopCluster
@@ -168,14 +168,13 @@ def run_faults_study(
     base_seed: int = 7000,
     scenarios: Optional[List[str]] = None,
     primitives: Optional[List[str]] = None,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Makespan and wasted work per fault scenario x preemption primitive.
 
-    The (scenario x primitive x repetition) grid shards across
-    ``workers`` processes; every cell's seed depends only on its
-    repetition index, so the numbers are identical for any worker
-    count.
+    The (scenario x primitive x repetition) grid runs as one ``sweep``;
+    every cell's seed depends only on its repetition index, so the
+    numbers are identical for any worker count.
     """
     chosen_scenarios = scenarios or list(DEFAULT_SCENARIOS)
     chosen_primitives = primitives or list(DEFAULT_PRIMITIVES)
@@ -204,7 +203,7 @@ def run_faults_study(
         for scenario, primitive, i in coords
     ]
     for (scenario, primitive, _), out in zip(
-        coords, run_cells(cells, workers=workers)
+        coords, sweep.run(cells)
     ):
         for key, value in out.items():
             metrics[scenario][primitive][key].append(value)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from repro.experiments import params as P
 from repro.experiments.harness import TwoJobResult, sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.metrics.series import Series
 
 PRIMITIVES = ("wait", "kill", "suspend")
@@ -53,15 +54,15 @@ def run_fig2(
     progress_points: Optional[List[float]] = None,
     base_seed: int = 1000,
     heavy: bool = False,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Regenerate Figure 2 (or Figure 3 when ``heavy=True``).
 
-    ``workers`` shards the repetitions of every (primitive, progress)
-    point over processes; results are identical for any value.
+    The repetitions of every (primitive, progress) point run as one
+    ``sweep``; results are identical for any of its options.
     """
     points = progress_points or P.PAPER_PROGRESS_POINTS
-    # One flat cell grid for every worker count: with workers=1 the
+    # One flat cell grid for every worker count: with one worker the
     # cells run serially in-process, so there is a single data path to
     # keep correct (the determinism suite pins it against the
     # per-primitive sweep_progress helper).
@@ -71,7 +72,7 @@ def run_fig2(
         heavy=heavy,
         runs=runs,
         base_seed=base_seed,
-        workers=workers,
+        sweep=sweep,
     )
     figure = "fig3" if heavy else "fig2"
     title = (

@@ -22,13 +22,14 @@ from typing import List, Optional
 from repro.experiments import params as P
 from repro.experiments.fig2_baseline import run_fig2
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 
 
 def run_fig3(
     runs: int = P.PAPER_RUNS,
     progress_points: Optional[List[float]] = None,
     base_seed: int = 2000,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Regenerate Figure 3 (memory-hungry variant of the sweep)."""
     return run_fig2(
@@ -36,5 +37,5 @@ def run_fig3(
         progress_points=progress_points,
         base_seed=base_seed,
         heavy=True,
-        workers=workers,
+        sweep=sweep,
     )

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import params as P
-from repro.experiments.runner import Cell, run_cells
+from repro.experiments.runner import Cell, SweepOptions
 from repro.hadoop.cluster import HadoopCluster
 from repro.metrics.stats import RunStats, summarize
 from repro.preemption.base import make_primitive
@@ -49,6 +49,22 @@ class TwoJobResult:
     tl_paged_bytes: RunStats
     tl_wasted_seconds: RunStats
     runs: List[SingleRunResult] = field(default_factory=list)
+
+    @classmethod
+    def of(
+        cls, primitive: str, progress_at_launch: float,
+        runs: List[SingleRunResult],
+    ) -> "TwoJobResult":
+        """Aggregate one grid point's repetitions."""
+        return cls(
+            primitive=primitive,
+            progress_at_launch=progress_at_launch,
+            sojourn_th=summarize([r.sojourn_th for r in runs]),
+            makespan=summarize([r.makespan for r in runs]),
+            tl_paged_bytes=summarize([r.tl_paged_bytes for r in runs]),
+            tl_wasted_seconds=summarize([r.tl_wasted_seconds for r in runs]),
+            runs=list(runs),
+        )
 
     def as_row(self) -> List[float]:
         """Table row: r%, sojourn, makespan, paged MB."""
@@ -148,7 +164,6 @@ class TwoJobHarness:
         keep_traces: bool = False,
         node_config=None,
         hadoop_config=None,
-        workers: int = 1,
         admission=None,
         collector=None,
         profile: bool = False,
@@ -167,14 +182,12 @@ class TwoJobHarness:
         self.keep_traces = keep_traces
         self.node_config = node_config
         self.hadoop_config = hadoop_config
-        self.workers = workers
         #: optional AdmissionConfig routing suspend requests through
         #: the swap-aware admission gate (fig2's gated variant)
         self.admission = admission
         #: optional telemetry SpanCollector subscribed to each run's
         #: TraceLog (observation only -- the silence differential pins
-        #: that runs are identical with or without it); like kept
-        #: traces, collectors are in-process state and pin runs serial
+        #: that runs are identical with or without it)
         self.collector = collector
         #: when true, each run's engine attributes fired events to
         #: their labels (repro profile --engine / bench_guard)
@@ -255,36 +268,12 @@ class TwoJobHarness:
         )
 
     def run(self) -> TwoJobResult:
-        """Average the configured number of seeded repetitions.
-
-        With ``workers > 1`` the repetitions shard across processes
-        (identical numbers to the serial path: each repetition is a
-        pure function of its seed).  Kept traces and attached
-        collectors pin the run serial -- they are in-process state
-        that a worker pool cannot share.
-        """
-        if self.workers > 1 and not self.keep_traces and self.collector is None:
-            params = self._cell_params()
-            cells = [
-                Cell.make(
-                    "repro.experiments.harness",
-                    "_harness_cell",
-                    seed=self.base_seed + i,
-                    **params,
-                )
-                for i in range(self.runs)
-            ]
-            results = run_cells(cells, workers=self.workers)
-        else:
-            results = [self.run_once(self.base_seed + i) for i in range(self.runs)]
-        return TwoJobResult(
-            primitive=self.primitive_name,
-            progress_at_launch=self.progress_at_launch,
-            sojourn_th=summarize([r.sojourn_th for r in results]),
-            makespan=summarize([r.makespan for r in results]),
-            tl_paged_bytes=summarize([r.tl_paged_bytes for r in results]),
-            tl_wasted_seconds=summarize([r.tl_wasted_seconds for r in results]),
-            runs=results,
+        """Average the configured number of seeded repetitions,
+        serially in this process (:func:`sweep_grid` shards a grid of
+        them over workers)."""
+        results = [self.run_once(self.base_seed + i) for i in range(self.runs)]
+        return TwoJobResult.of(
+            self.primitive_name, self.progress_at_launch, results
         )
 
 
@@ -325,10 +314,10 @@ def sweep_grid(
     heavy: bool = False,
     runs: int = P.PAPER_RUNS,
     base_seed: int = 1000,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> Dict[str, Dict[float, TwoJobResult]]:
     """The whole (primitive x progress x repetition) microbenchmark
-    grid as ONE flat cell list through ONE worker pool.
+    grid as ONE flat cell list through ONE sweep.
 
     Numerically identical to per-primitive :func:`sweep_progress` calls
     (each cell is the same pure function of its seed), but the pool is
@@ -354,18 +343,11 @@ def sweep_grid(
                     **params,
                 )
             )
-    flat = run_cells(cells, workers=workers)
+    flat = sweep.run(cells)
     out: Dict[str, Dict[float, TwoJobResult]] = {prim: {} for prim in primitives}
     for index, (prim, r) in enumerate(coords):
-        chunk = flat[index * runs:(index + 1) * runs]
-        out[prim][r] = TwoJobResult(
-            primitive=prim,
-            progress_at_launch=r,
-            sojourn_th=summarize([c.sojourn_th for c in chunk]),
-            makespan=summarize([c.makespan for c in chunk]),
-            tl_paged_bytes=summarize([c.tl_paged_bytes for c in chunk]),
-            tl_wasted_seconds=summarize([c.tl_wasted_seconds for c in chunk]),
-            runs=list(chunk),
+        out[prim][r] = TwoJobResult.of(
+            prim, r, flat[index * runs:(index + 1) * runs]
         )
     return out
 
@@ -376,7 +358,6 @@ def sweep_progress(
     heavy: bool = False,
     runs: int = P.PAPER_RUNS,
     base_seed: int = 1000,
-    workers: int = 1,
 ) -> Dict[float, TwoJobResult]:
     """Run the harness across the paper's r-axis for one primitive."""
     points = progress_points or P.PAPER_PROGRESS_POINTS
@@ -388,7 +369,6 @@ def sweep_progress(
             heavy=heavy,
             runs=runs,
             base_seed=base_seed,
-            workers=workers,
         )
         out[r] = harness.run()
     return out

@@ -47,7 +47,7 @@ from repro.experiments.drive import (
     run_replay_grid,
 )
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import derive_seed
+from repro.experiments.runner import SweepOptions, derive_seed
 from repro.hadoop.cluster import HadoopCluster
 from repro.netmodel.config import NetConfig
 from repro.preemption.admission import AdmissionConfig
@@ -298,7 +298,7 @@ def run_memscale_study(
     num_jobs: Optional[int] = None,
     swap_bytes: int = SWAP_BYTES,
     reserve_bytes: int = RESERVE_BYTES,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Memory-heavy SWIM replay on swap-constrained nodes."""
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
@@ -323,7 +323,7 @@ def run_memscale_study(
             ),
         ),
         METRIC_KEYS,
-        workers,
+        sweep,
     )
 
     report = ExperimentReport(

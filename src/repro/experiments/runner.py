@@ -14,7 +14,11 @@ processes.  This module is the one place that fan-out lives:
 * :func:`run_cells` executes a cell list either serially in-process
   (``workers=1``) or sharded over *supervised* worker processes
   (:mod:`repro.experiments.supervisor`), returning results in cell
-  order either way.
+  order either way;
+* a :class:`SweepOptions` holds everything about *how* a sweep runs
+  (workers, result cache, progress, ledger, supervision, chaos); every
+  runner that sweeps takes one as ``sweep``, and this module keeps no
+  configuration of its own.
 
 Because cells are pure functions of their arguments and results are
 re-assembled in grid order, a parallel run is **bit-identical** to the
@@ -35,99 +39,18 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.errors import ConfigurationError, QuarantineError
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.experiments.supervisor import SupervisorConfig
+
 #: hard cap so a typo'd ``--workers 4000`` does not fork-bomb the host
 MAX_WORKERS = 64
-
-#: live progress to stderr (module-level so the CLI can flip it once
-#: for every study a command runs); stdout artifacts never change
-_progress_enabled = False
-
-#: per-cell result cache directory (module-level for the same reason
-#: as progress: the CLI flips it once per command); None = no caching
-_cell_cache_dir: Optional[str] = None
-
-
-def set_progress(enabled: bool) -> None:
-    """Enable/disable per-cell progress lines on stderr.
-
-    Off by default (library callers and tests see no output); the CLI
-    turns it on for interactive runs and ``--quiet`` turns it back
-    off.  Progress is *reporting only* -- cell results are identical
-    either way.
-    """
-    global _progress_enabled
-    _progress_enabled = bool(enabled)
-
-
-def set_cell_cache(directory: Optional[str]) -> None:
-    """Persist every finished cell's result under ``directory``.
-
-    With a cache set, :func:`run_cells` writes each cell's result to
-    ``<dir>/<cell_key>.pkl`` the moment it finishes and skips cells
-    whose result file already exists -- so a killed ``--workers`` sweep
-    restarted with the same cache directory re-runs only the missing
-    cells, and the reassembled result list is identical to an
-    uninterrupted run (cells are pure functions of their params).
-    ``None`` disables caching.
-    """
-    global _cell_cache_dir
-    _cell_cache_dir = directory
-
-
-#: explicit run-ledger file path; None = derive from the cache dir
-#: (``<cache>/ledger.jsonl``) or no file at all
-_ledger_path_override: Optional[str] = None
-
-
-def set_ledger(path: Optional[str]) -> None:
-    """Write the sweep's run ledger to an explicit file.
-
-    Without an override the ledger rides the cell cache
-    (``<checkpoint-dir>/ledger.jsonl``); this knob exists for sweeps
-    that want live observation (``repro run --serve``) without result
-    caching.  Like every observation hook, the ledger never alters
-    results -- the differential suite pins ledger-on == ledger-off.
-    """
-    global _ledger_path_override
-    _ledger_path_override = path
-
-
-#: sweep-supervision overrides (module-level for the same reason as
-#: progress/cache: the CLI flips them once per command); empty = the
-#: supervisor's defaults
-_supervision: Dict[str, Any] = {}
-
-
-def set_supervision(
-    max_retries: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    chaos_seed: Optional[int] = None,
-    snapshot_every: Optional[float] = None,
-) -> None:
-    """Configure how :func:`run_cells` supervises its worker shards.
-
-    Only non-None knobs override the
-    :class:`~repro.experiments.supervisor.SupervisorConfig` defaults;
-    calling with no arguments resets to them.  ``chaos_seed`` arms the
-    deterministic chaos harness: a seeded
-    :class:`~repro.experiments.chaos.ChaosPlan` is built over the
-    sweep's cell keys and injected into every worker (results are
-    still byte-identical to an undisturbed run -- that is the point).
-    """
-    global _supervision
-    knobs = {
-        "max_retries": max_retries,
-        "cell_timeout": cell_timeout,
-        "chaos_seed": chaos_seed,
-        "snapshot_every": snapshot_every,
-    }
-    _supervision = {k: v for k, v in knobs.items() if v is not None}
-
 
 def cell_key(cell: "Cell") -> str:
     """Stable content address of one cell: its module, function and
@@ -147,10 +70,6 @@ def _cell_label(cell: "Cell") -> str:
     parts = [f"{key}={params[key]}" for key in _LABEL_KEYS if key in params]
     module = cell.module.rsplit(".", 1)[-1]
     return f"{module}.{cell.func}({', '.join(parts)})"
-
-
-def _progress(message: str) -> None:
-    print(message, file=sys.stderr, flush=True)
 
 
 def default_workers() -> int:
@@ -374,30 +293,6 @@ class _Manifest:
         os.replace(tmp, os.path.join(self.directory, "manifest.json"))
 
 
-def _build_supervision(keys: List[str]):
-    """The sweep's :class:`SupervisorConfig` from the module-level
-    overrides (None when no override is active); ``keys`` are the
-    sweep's cell keys."""
-    if not _supervision:
-        return None
-    from repro.experiments.supervisor import SupervisorConfig
-
-    kwargs: Dict[str, Any] = {
-        key: _supervision[key]
-        for key in ("max_retries", "cell_timeout", "snapshot_every")
-        if key in _supervision
-    }
-    chaos_seed = _supervision.get("chaos_seed")
-    if chaos_seed is not None:
-        from repro.experiments.chaos import seeded_plan
-
-        kwargs["chaos"] = seeded_plan(keys, chaos_seed)
-        # A seeded plan may hang workers; a hung cell needs a
-        # wall-clock budget to be detectable at all.
-        kwargs.setdefault("cell_timeout", 600.0)
-    return SupervisorConfig(**kwargs)
-
-
 def _grid_digest(keys: List[str]) -> str:
     """Content address of the whole grid (sweep-start identity) from
     its cell keys."""
@@ -421,21 +316,14 @@ def cell_cost(result: Any) -> float:
     return 1.0
 
 
-def _open_ledger(directory: Optional[str]):
+def _open_ledger(path: Optional[str], progress: bool):
     """The sweep's :class:`~repro.obs.ledger.Ledger`, or None.
 
-    A file sink is attached when an explicit path was set
-    (:func:`set_ledger`) or a cache directory is active (the ledger
-    then lives at ``<dir>/ledger.jsonl``); a console renderer is
-    subscribed when progress is enabled.  With neither, there is no
+    A file sink is attached when ``path`` is set; a console renderer is
+    subscribed when ``progress`` is on.  With neither, there is no
     ledger at all -- zero overhead for bare library sweeps.
     """
-    from repro.obs.ledger import ledger_path as _ledger_path
-
-    path = _ledger_path_override or (
-        _ledger_path(directory) if directory else None
-    )
-    if path is None and not _progress_enabled:
+    if path is None and not progress:
         return None
     from repro.obs.ledger import Ledger
 
@@ -447,22 +335,88 @@ def _open_ledger(directory: Optional[str]):
             "running unobserved",
             file=sys.stderr,
         )
-        if not _progress_enabled:
+        if not progress:
             return None
         ledger = Ledger(None)
-    if _progress_enabled:
+    if progress:
         from repro.obs.console import ConsoleRenderer
 
         ledger.subscribe(ConsoleRenderer())
     return ledger
 
 
+def _with_chaos(
+    config: Optional["SupervisorConfig"], keys: List[str], chaos_seed: int
+) -> "SupervisorConfig":
+    """``config`` (or the defaults) armed with the seeded chaos plan
+    over the sweep's cell ``keys``."""
+    from repro.experiments.chaos import seeded_plan
+    from repro.experiments.supervisor import SupervisorConfig
+
+    config = config or SupervisorConfig()
+    return replace(
+        config,
+        chaos=seeded_plan(keys, chaos_seed),
+        # A seeded plan may hang workers; a hung cell needs a
+        # wall-clock budget to be detectable at all.
+        cell_timeout=(
+            600.0 if config.cell_timeout is None else config.cell_timeout
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    """How one sweep runs -- never what it computes.
+
+    Every runner that fans a grid out through :func:`run_cells` takes
+    one of these as ``sweep``; the defaults are a bare serial sweep
+    with no cache, no output and no supervision.  Results are
+    identical for any value of any field.
+
+    * ``workers`` -- shard the grid over that many supervised worker
+      processes (1 = serial, in-process);
+    * ``cache_dir`` -- persist each finished cell's result as
+      ``<dir>/<cell_key>.pkl`` (plus ``manifest.json`` and
+      ``ledger.jsonl``) and load cached cells instead of re-running
+      them, so a killed sweep restarted with the same directory
+      re-runs only the missing cells;
+    * ``progress`` -- per-cell progress lines on stderr;
+    * ``ledger_path`` -- write the run ledger here instead of
+      ``<cache_dir>/ledger.jsonl`` (live observation without caching);
+    * ``supervise`` -- the
+      :class:`~repro.experiments.supervisor.SupervisorConfig` (retries,
+      timeouts, mid-cell snapshots); setting it supervises even a
+      one-worker sweep;
+    * ``chaos_seed`` -- inject the seeded
+      :class:`~repro.experiments.chaos.ChaosPlan` over the sweep's cell
+      keys (its hangs get a 600 s ``cell_timeout`` unless one is set).
+    """
+
+    workers: int = 1
+    cache_dir: Optional[str] = None
+    progress: bool = False
+    ledger_path: Optional[str] = None
+    supervise: Optional["SupervisorConfig"] = None
+    chaos_seed: Optional[int] = None
+
+    def run(
+        self, cells: Iterable["Cell"], on_quarantine: str = "raise"
+    ) -> List[Any]:
+        """:func:`run_cells` over ``cells`` with these options."""
+        options = {f.name: getattr(self, f.name) for f in fields(self)}
+        return run_cells(cells, on_quarantine=on_quarantine, **options)
+
+
 def run_cells(
     cells: Iterable[Cell],
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    supervise=None,
+    supervise: Optional["SupervisorConfig"] = None,
     on_quarantine: str = "raise",
+    progress: bool = False,
+    ledger_path: Optional[str] = None,
+    chaos_seed: Optional[int] = None,
 ) -> List[Any]:
     """Execute every cell; results come back in cell order.
 
@@ -477,16 +431,17 @@ def run_cells(
     values are identical for any ``workers`` -- crashes, retries and
     chaos included.
 
-    ``cache_dir`` (or the module-level :func:`set_cell_cache`) turns on
-    per-cell checkpointing: finished results persist immediately and
-    already-persisted cells are loaded instead of re-run, so a killed
-    sweep resumed with the same directory completes with identical
-    results.  A ``KeyboardInterrupt`` mid-sweep flushes the manifest
-    before re-raising -- Ctrl-C never loses completed cells.
+    ``cache_dir`` turns on per-cell checkpointing: finished results
+    persist immediately and already-persisted cells are loaded instead
+    of re-run, so a killed sweep resumed with the same directory
+    completes with identical results.  A ``KeyboardInterrupt``
+    mid-sweep flushes the manifest before re-raising -- Ctrl-C never
+    loses completed cells.
 
-    ``supervise`` (a :class:`~repro.experiments.supervisor.\
-SupervisorConfig`) overrides the module-level supervision knobs; with
-    quarantined cells, ``on_quarantine="raise"`` (default) raises
+    ``workers``, ``cache_dir``, ``supervise``, ``progress``,
+    ``ledger_path`` and ``chaos_seed`` are the fields of
+    :class:`SweepOptions` (:meth:`SweepOptions.run` passes them all).
+    With quarantined cells, ``on_quarantine="raise"`` (default) raises
     :class:`~repro.errors.QuarantineError` *after* the sweep completes
     and persists, while ``"keep"`` leaves ``None`` at their indices.
     """
@@ -502,16 +457,15 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     # event, cache path and chaos plan reads it.
     keys = [cell_key(cell) for cell in cell_list]
     labels = [_cell_label(cell) for cell in cell_list]
-    directory = cache_dir if cache_dir is not None else _cell_cache_dir
     results: List[Any] = [None] * total
     todo = list(range(total))
     manifest: Optional[_Manifest] = None
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        manifest = _Manifest(directory, keys, labels)
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+        manifest = _Manifest(cache_dir, keys, labels)
         todo = []
         for index, key in enumerate(keys):
-            hit, value = _cache_read(directory, key)
+            hit, value = _cache_read(cache_dir, key)
             if hit:
                 results[index] = value
                 manifest.mark_done(index)
@@ -525,9 +479,14 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     # the *remaining* work so a nearly finished sweep does not fork a
     # fleet of idle workers.
     workers = min(workers, MAX_WORKERS, max(len(todo), 1))
-    config = supervise if supervise is not None else _build_supervision(keys)
+    if chaos_seed is not None:
+        supervise = _with_chaos(supervise, keys, chaos_seed)
 
-    ledger = _open_ledger(directory)
+    if ledger_path is None and cache_dir:
+        from repro.obs.ledger import ledger_path as _default_ledger_path
+
+        ledger_path = _default_ledger_path(cache_dir)
+    ledger = _open_ledger(ledger_path, progress)
 
     # Manifest freshness: quarantine records and supervisor counters
     # surface through ledger events *as they happen*, so the manifest
@@ -567,7 +526,7 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     def finish(index: int, result: Any) -> None:
         results[index] = result
         if manifest is not None:
-            _cache_write(directory, keys[index], result)
+            _cache_write(cache_dir, keys[index], result)
             manifest.mark_done(index)
             flush_manifest()
 
@@ -582,13 +541,13 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
             if cell_list else None
         ),
         ledger_path=ledger.path if ledger is not None else None,
-        supervised=config is not None or (workers > 1 and len(todo) > 1),
+        supervised=supervise is not None or (workers > 1 and len(todo) > 1),
         cells=[
             {"index": i, "key": key, "label": label}
             for i, (key, label) in enumerate(zip(keys, labels))
         ],
     )
-    if directory:
+    if cache_dir:
         todo_set = set(todo)
         for index in range(total):
             if index not in todo_set:
@@ -597,7 +556,7 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
     quarantined: List[Any] = []
     stats: Optional[Dict[str, int]] = None
     try:
-        if len(todo) <= 1 or (workers <= 1 and config is None):
+        if len(todo) <= 1 or (workers <= 1 and supervise is None):
             for index in todo:
                 emit("cell-start", index=index, key=keys[index],
                      label=labels[index], attempt=0)
@@ -624,8 +583,8 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
                 cell_list,
                 todo,
                 workers,
-                config or SupervisorConfig(),
-                cache_dir=directory,
+                supervise or SupervisorConfig(),
+                cache_dir=cache_dir,
                 on_finish=finish,
                 ledger=ledger,
             )
@@ -640,7 +599,7 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
             flush_manifest()
             print(
                 f"interrupted: completed cells are checkpointed in "
-                f"{directory}; re-run with the same directory to finish",
+                f"{cache_dir}; re-run with the same directory to finish",
                 file=sys.stderr,
             )
         raise
@@ -663,8 +622,8 @@ SupervisorConfig`) overrides the module-level supervision knobs; with
             f"{record.causes[-1] if record.causes else 'unknown'}"
             for record in quarantined
         )
-        where = f" (manifest: {os.path.join(directory, 'manifest.json')})" \
-            if directory else ""
+        where = f" (manifest: {os.path.join(cache_dir, 'manifest.json')})" \
+            if cache_dir else ""
         raise QuarantineError(
             f"{len(quarantined)} poison cell(s) quarantined after the "
             f"sweep completed{where}: {names}",

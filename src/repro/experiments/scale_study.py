@@ -37,7 +37,7 @@ from repro.experiments.drive import (  # noqa: F401 (metrics_digest)
     run_replay_grid,
 )
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import derive_seed
+from repro.experiments.runner import SweepOptions, derive_seed
 from repro.hadoop.cluster import HadoopCluster
 from repro.preemption.base import make_primitive
 from repro.schedulers.hfsp import HfspScheduler
@@ -203,9 +203,9 @@ def run_scale_study(
     scenarios: Optional[List[str]] = None,
     primitives: Optional[List[str]] = None,
     num_jobs: Optional[int] = None,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
-    """SWIM replay across cluster sizes, sharded over ``workers``."""
+    """SWIM replay across cluster sizes, one sweep over ``sweep``."""
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
     chosen_scenarios = list(scenarios or SCENARIOS)
     chosen_primitives = list(primitives or DEFAULT_PRIMITIVES)
@@ -221,7 +221,7 @@ def run_scale_study(
             seed=cell_seed(scenario, size, primitive, rep, base_seed),
         ),
         METRIC_KEYS,
-        workers,
+        sweep,
     )
 
     report = ExperimentReport(

@@ -39,7 +39,7 @@ from repro.experiments.drive import (
     run_replay_grid,
 )
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import derive_seed
+from repro.experiments.runner import SweepOptions, derive_seed
 from repro.hadoop.cluster import HadoopCluster
 from repro.netmodel.config import NetConfig
 from repro.preemption.base import make_primitive
@@ -190,7 +190,7 @@ def run_shuffle_study(
     num_jobs: Optional[int] = None,
     oversubscription: float = 2.5,
     locality_wait: float = 0.0,
-    workers: int = 1,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Shuffle-heavy SWIM replay on an oversubscribed fabric."""
     sizes = list(cluster_sizes or DEFAULT_CLUSTER_SIZES)
@@ -211,7 +211,7 @@ def run_shuffle_study(
             ),
         ),
         METRIC_KEYS,
-        workers,
+        sweep,
     )
 
     report = ExperimentReport(

@@ -166,17 +166,15 @@ class TestToyDifferential:
         assert sweep.quarantined == []
 
     def test_chaos_through_run_cells_cli_path(self, tmp_path):
-        """The CLI arms chaos via set_supervision(chaos_seed=...); the
-        sweep must come out identical to a clean serial run."""
-        from repro.experiments.runner import set_supervision
-
+        """The CLI arms chaos with ``chaos_seed`` next to a
+        SupervisorConfig; the sweep must come out identical to a clean
+        serial run."""
         cells = _toy_cells(6)
         clean = run_cells(cells, workers=1)
-        set_supervision(max_retries=3, cell_timeout=2.0, chaos_seed=3)
-        try:
-            chaotic = run_cells(cells, workers=3)
-        finally:
-            set_supervision()
+        chaotic = run_cells(
+            cells, workers=3, chaos_seed=3,
+            supervise=SupervisorConfig(max_retries=3, cell_timeout=2.0),
+        )
         assert chaotic == clean
 
 

@@ -65,6 +65,76 @@ class TestWorkers:
         assert "ignoring --workers" in capsys.readouterr().err
 
 
+class TestSweepFlags:
+    """Sweep flags reach only experiments that run a cell sweep, and
+    only for the command that gave them."""
+
+    def test_sweep_flags_do_not_outlive_their_command(self, tmp_path, capsys):
+        from repro.experiments.harness import TwoJobHarness
+        from repro.experiments.runner import Cell, run_cells
+
+        cache = tmp_path / "ck"
+        assert main(["run", "fig1", "--workers", "2", "--no-plots",
+                     "--checkpoint-dir", str(cache),
+                     "--max-retries", "1"]) == 0
+        capsys.readouterr()
+        params = TwoJobHarness("kill", 0.5)._cell_params()
+        cells = [Cell.make("repro.experiments.harness", "_harness_cell",
+                           seed=5, **params)]
+        run_cells(cells, workers=1)
+        assert not cache.exists()
+        assert capsys.readouterr().err == ""
+
+    def test_serial_experiment_warns_on_every_sweep_flag(
+        self, tmp_path, capsys
+    ):
+        cache = tmp_path / "ck"
+        assert main(["run", "fig1", "--no-plots", "--workers", "2",
+                     "--checkpoint-dir", str(cache), "--max-retries", "1",
+                     "--cell-timeout", "5", "--snapshot-every", "10",
+                     "--chaos", "7", "--serve"]) == 0
+        err = capsys.readouterr().err
+        for flag in ("--workers", "--checkpoint-dir", "--max-retries",
+                     "--cell-timeout", "--snapshot-every", "--chaos",
+                     "--serve"):
+            assert f"fig1 runs no cell sweep; ignoring {flag}\n" in err
+        assert "observatory" not in err
+        assert not cache.exists()
+
+    def test_snapshot_every_without_checkpoint_dir_warns(self, capsys):
+        assert main(["run", "fig2", "--quick", "--runs", "1", "--quiet",
+                     "--no-plots", "--snapshot-every", "10"]) == 0
+        assert "ignoring --snapshot-every without one" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.integration
+    def test_checkpointed_cli_sweep_resumes_from_its_cache(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        cache = str(tmp_path / "sweep")
+        argv = ["run", "fig2", "--quick", "--runs", "1", "--workers", "2",
+                "--checkpoint-dir", cache, "--quiet", "--no-plots"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with open(os.path.join(cache, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert (manifest["done"], manifest["total"]) == (9, 9)
+        assert all(cell["done"] for cell in manifest["cells"])
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        with open(os.path.join(cache, "ledger.jsonl")) as fh:
+            events = [json.loads(line)["event"] for line in fh]
+        assert events.count("cell-cached") == 9
+        assert events.count("sweep-finish") == 2
+
+        assert main(["resume", cache]) == 0
+        assert f"{cache}: 9/9 cells checkpointed" in capsys.readouterr().out
+
+
 class TestSchedule:
     def test_schedule_suspend(self, capsys):
         assert main(["schedule", "--primitive", "suspend", "--progress", "50"]) == 0

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.faults_study import _run_once as faults_cell
 from repro.experiments.harness import TwoJobHarness
+from repro.experiments.runner import SweepOptions
 from repro.experiments.scale_study import _run_once as scale_cell
 from repro.experiments.scale_study import run_scale_study
 from tests.conftest import quick_cluster
@@ -71,15 +72,6 @@ class TestFig2Determinism:
             == second.trace_cluster.sim.trace_log.digest()
         )
 
-    def test_serial_equals_parallel(self):
-        serial = TwoJobHarness("kill", 0.4, runs=2, workers=1).run()
-        parallel = TwoJobHarness("kill", 0.4, runs=2, workers=2).run()
-        assert [r.sojourn_th for r in serial.runs] == [
-            r.sojourn_th for r in parallel.runs
-        ]
-        assert serial.makespan.mean == parallel.makespan.mean
-        assert serial.tl_paged_bytes.mean == parallel.tl_paged_bytes.mean
-
     @pytest.mark.integration
     def test_flat_grid_equals_per_primitive_sweeps(self):
         # fig2's one-pool grid path must reproduce the serial sweeps.
@@ -87,7 +79,8 @@ class TestFig2Determinism:
 
         points = [0.3, 0.7]
         flat = sweep_grid(
-            ["wait", "kill"], progress_points=points, runs=2, workers=2
+            ["wait", "kill"], progress_points=points, runs=2,
+            sweep=SweepOptions(workers=2),
         )
         for primitive in ("wait", "kill"):
             serial = sweep_progress(
@@ -100,6 +93,12 @@ class TestFig2Determinism:
                 assert flat[primitive][r].makespan.mean == (
                     serial[r].makespan.mean
                 )
+                assert flat[primitive][r].tl_paged_bytes.mean == (
+                    serial[r].tl_paged_bytes.mean
+                )
+                assert [c.sojourn_th for c in flat[primitive][r].runs] == [
+                    c.sojourn_th for c in serial[r].runs
+                ]
 
 
 class TestFaultsDeterminism:
@@ -114,8 +113,8 @@ class TestFaultsDeterminism:
 
         kwargs = dict(runs=1, scenarios=["transient-failure"],
                       primitives=["kill", "suspend"])
-        serial = run_faults_study(workers=1, **kwargs)
-        parallel = run_faults_study(workers=2, **kwargs)
+        serial = run_faults_study(sweep=SweepOptions(workers=1), **kwargs)
+        parallel = run_faults_study(sweep=SweepOptions(workers=2), **kwargs)
         assert serial.extras["metrics"] == parallel.extras["metrics"]
         assert serial.render() == parallel.render()
 
@@ -144,8 +143,8 @@ class TestScaleDeterminism:
             primitives=["wait", "suspend"],
             num_jobs=6,
         )
-        serial = run_scale_study(workers=1, **kwargs)
-        parallel = run_scale_study(workers=2, **kwargs)
+        serial = run_scale_study(sweep=SweepOptions(workers=1), **kwargs)
+        parallel = run_scale_study(sweep=SweepOptions(workers=2), **kwargs)
         assert serial.extras["digest"] == parallel.extras["digest"]
         assert serial.render().encode() == parallel.render().encode()
 
@@ -234,7 +233,7 @@ class TestMemscaleDeterminism:
             modes=["kill", "suspend-gated", "suspend-ungated"],
             num_jobs=8,
         )
-        serial = run_memscale_study(workers=1, **kwargs)
-        parallel = run_memscale_study(workers=4, **kwargs)
+        serial = run_memscale_study(sweep=SweepOptions(workers=1), **kwargs)
+        parallel = run_memscale_study(sweep=SweepOptions(workers=4), **kwargs)
         assert serial.extras["digest"] == parallel.extras["digest"]
         assert serial.render().encode() == parallel.render().encode()

@@ -32,8 +32,6 @@ from repro.experiments.runner import (
     cell_cost,
     cell_key,
     run_cells,
-    set_ledger,
-    set_progress,
 )
 from repro.experiments.supervisor import SupervisorConfig, supervise_cells
 from repro.obs import (
@@ -384,11 +382,7 @@ class TestRunnerLedger:
 
     def test_explicit_ledger_path_without_cache_dir(self, tmp_path):
         path = str(tmp_path / "standalone.jsonl")
-        set_ledger(path)
-        try:
-            run_cells(probes(2), workers=1)
-        finally:
-            set_ledger(None)
+        run_cells(probes(2), workers=1, ledger_path=path)
         state = replay(path, warn=False)
         assert state.done == 2 and state.finished
 
@@ -513,13 +507,8 @@ class TestLedgerSilence:
     def _differential(self, cells, tmp_path):
         baseline = run_cells(cells, workers=1)          # no ledger at all
         path = str(tmp_path / "on.jsonl")
-        set_ledger(path)
-        set_progress(True)  # renderer subscribed too -- still silent
-        try:
-            observed = run_cells(cells, workers=1)
-        finally:
-            set_ledger(None)
-            set_progress(False)
+        # renderer subscribed too (progress) -- still silent
+        observed = run_cells(cells, workers=1, ledger_path=path, progress=True)
         assert os.path.getsize(path) > 0
         return baseline, observed
 

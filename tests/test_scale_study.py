@@ -38,14 +38,13 @@ class TestScaleCell:
 
 
 class TestScaleStudy:
-    def small_report(self, workers=1):
+    def small_report(self):
         return run_scale_study(
             runs=1,
             cluster_sizes=[4],
             scenarios=["baseline"],
             primitives=["wait", "kill"],
             num_jobs=6,
-            workers=workers,
         )
 
     def test_report_shape(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.runner import SweepOptions
 from repro.experiments.shuffle_study import run_shuffle_study
 from repro.hadoop.cluster import HadoopCluster
 from repro.hadoop.states import TipState
@@ -270,8 +271,12 @@ class TestShuffleStudy:
         assert metrics[6]["wait"]["wasted_net_mb"][0] == 0
 
     def test_parallel_digest_identical_to_serial(self):
-        serial = run_shuffle_study(cluster_sizes=[5], num_jobs=8, workers=1)
-        parallel = run_shuffle_study(cluster_sizes=[5], num_jobs=8, workers=3)
+        serial = run_shuffle_study(
+            cluster_sizes=[5], num_jobs=8, sweep=SweepOptions(workers=1)
+        )
+        parallel = run_shuffle_study(
+            cluster_sizes=[5], num_jobs=8, sweep=SweepOptions(workers=3)
+        )
         assert serial.extras["digest"] == parallel.extras["digest"]
 
     def test_report_renders(self, quick_report):

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import derive_seed
+from repro.experiments.runner import SweepOptions, derive_seed
 from repro.telemetry import SpanCollector, validate_chrome_trace
 from repro.telemetry.capture import capture_experiment
 
@@ -95,8 +95,8 @@ class TestSketchMergeDeterminism:
             primitives=["kill", "suspend"],
             num_jobs=8,
         )
-        serial = run_scale_study(workers=1, **kwargs)
-        sharded = run_scale_study(workers=4, **kwargs)
+        serial = run_scale_study(sweep=SweepOptions(workers=1), **kwargs)
+        sharded = run_scale_study(sweep=SweepOptions(workers=4), **kwargs)
         assert (
             sharded.extras["sketch_digest"] == serial.extras["sketch_digest"]
         )
