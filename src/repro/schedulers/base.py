@@ -2,18 +2,28 @@
 
 Mirrors Hadoop 1's ``TaskScheduler``: the JobTracker calls
 :meth:`TaskScheduler.assign_tasks` while answering each heartbeat, and
-notifies the scheduler of job lifecycle events.  Schedulers that
-preempt (FAIR, HFSP, deadline) do so through the JobTracker's
-preemption API with a configurable
-:class:`~repro.preemption.base.PreemptionPrimitive`.
+notifies the scheduler of job lifecycle events.
+
+The paper keeps the preemption *mechanism* apart from the *policy*
+that picks victims, and so does this base class.  It owns the
+mechanism every preempting scheduler (FAIR, Capacity, deadline, HFSP)
+shares: the configurable
+:class:`~repro.preemption.base.PreemptionPrimitive`, the victim loop
+(:meth:`TaskScheduler._preempt_victims`) and the ledger of suspended
+tips with its restore loop (:meth:`TaskScheduler._restore_suspended`).
+Subclasses keep the policy: who is starved, which victims, and when a
+suspended tip may come back.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Optional
+from collections import defaultdict
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
+from repro.errors import NotPreemptibleError
 from repro.hadoop.job import JobInProgress
+from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,10 +48,26 @@ class TaskScheduler(abc.ABC):
         #: (:class:`repro.preemption.admission.SuspendAdmissionGate`);
         #: None (the default) preserves ungated suspension
         self.admission = None
+        #: callable(cluster) -> PreemptionPrimitive, called by
+        #: :meth:`attach_cluster` so the scheduler can be constructed
+        #: before the cluster exists; None never preempts
+        self.primitive_factory = None
+        self.primitive = None
+        self.cluster = None
+        #: tips this scheduler suspended that have not come back yet
+        self._suspended: List[TaskInProgress] = []
+        self.preemptions = 0
 
     def bind(self, jobtracker: "JobTracker") -> None:
         """Attach to a JobTracker (called once at construction time)."""
         self.jobtracker = jobtracker
+
+    def attach_cluster(self, cluster) -> None:
+        """Late-bind the cluster (called by experiment harnesses) and
+        build the preemption primitive, if a factory is configured."""
+        self.cluster = cluster
+        if self.primitive_factory is not None:
+            self.primitive = self.primitive_factory(cluster)
 
     # -- lifecycle notifications (default: no-op) ----------------------------
 
@@ -106,9 +132,144 @@ class TaskScheduler(abc.ABC):
 
         return admit_and_preempt(self.admission, primitive, tip)
 
+    def _preempt_victims(self, victims: Iterable) -> None:
+        """Preempt each eviction candidate's tip, in order.
+
+        A tip the primitive refuses is skipped.  Under a gate, a
+        "wait" verdict leaves the victim holding its slot, so it is
+        neither counted nor tracked (the gate counts it).  Every other
+        preemption counts, and a tip left MUST_SUSPEND joins the
+        suspended ledger.
+        """
+        for victim in victims:
+            tip = victim.tip
+            try:
+                action = self.preempt_with_admission(self.primitive, tip)
+            except NotPreemptibleError:
+                continue
+            if self.admission is not None and action == "wait":
+                continue
+            self.preemptions += 1
+            if tip.state is TipState.MUST_SUSPEND:
+                self._suspended.append(tip)
+
+    def _restore_suspended(self, may_restore: Callable[[TaskInProgress], bool]) -> None:
+        """Restore the suspended tips that ``may_restore`` accepts.
+
+        Tips no longer SUSPENDED (resumed, finished, requeued, or with
+        the stop still in flight) leave the ledger; rejected ones stay.
+        """
+        kept: List[TaskInProgress] = []
+        for tip in self._suspended:
+            if tip.state is not TipState.SUSPENDED:
+                continue
+            if may_restore(tip):
+                self.primitive.restore(tip)
+            else:
+                kept.append(tip)
+        self._suspended = kept
+
     def _candidate_jobs(self) -> List[JobInProgress]:
         """Running jobs in submission order."""
         return self.jobtracker.running_jobs()
+
+    # -- slot sharing (FAIR pools, Capacity queues) ------------------------------
+
+    def _group_jobs(
+        self, key: Callable[[JobInProgress], str]
+    ) -> Dict[str, List[JobInProgress]]:
+        """Running jobs grouped by ``key`` (a pool or queue name)."""
+        groups: Dict[str, List[JobInProgress]] = defaultdict(list)
+        for job in self._candidate_jobs():
+            groups[key(job)].append(job)
+        return groups
+
+    def _total_map_slots(self) -> int:
+        return sum(t.map_slots for t in self.jobtracker.trackers.values())
+
+    @staticmethod
+    def _running_count(jobs: List[JobInProgress]) -> int:
+        """Tips of ``jobs`` holding a slot (running, or not yet stopped)."""
+        return sum(
+            1
+            for job in jobs
+            for tip in job.tips
+            if tip.state in (TipState.RUNNING, TipState.MUST_SUSPEND)
+        )
+
+    def _deal_slots(
+        self,
+        groups: list,
+        free_map_slots: int,
+        free_reduce_slots: int,
+        assigned: List[TaskInProgress],
+        admits: Optional[Callable[[str, List[JobInProgress]], bool]] = None,
+    ):
+        """Deal free slots round-robin over ``groups``, a list of
+        ``(name, jobs)`` pairs in offer order.
+
+        Each pass gives every group that ``admits`` (default: all) the
+        first schedulable tip, not yet in ``assigned``, of its oldest
+        job that has one fitting a free slot.  Passes repeat until one
+        places nothing or the slots run out.  Appends to ``assigned``
+        and returns the free ``(map, reduce)`` slots left.
+        """
+        taken = {tip.tip_id for tip in assigned}
+        progress_made = True
+        while progress_made and (free_map_slots > 0 or free_reduce_slots > 0):
+            progress_made = False
+            for name, jobs in groups:
+                if free_map_slots <= 0 and free_reduce_slots <= 0:
+                    break
+                if admits is not None and not admits(name, jobs):
+                    continue
+                tip = next(
+                    (
+                        t
+                        for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+                        for t in job.schedulable_tips()
+                        if t.tip_id not in taken
+                        and (
+                            free_map_slots > 0
+                            if t.kind.value == "map"
+                            else free_reduce_slots > 0
+                        )
+                    ),
+                    None,
+                )
+                if tip is None:
+                    continue
+                taken.add(tip.tip_id)
+                if tip.kind.value == "map":
+                    free_map_slots -= 1
+                else:
+                    free_reduce_slots -= 1
+                assigned.append(tip)
+                progress_made = True
+        return free_map_slots, free_reduce_slots
+
+    def _over_quota_candidates(
+        self,
+        groups: Dict[str, List[JobInProgress]],
+        starved: str,
+        quota_of: Callable[[str], int],
+    ) -> list:
+        """Eviction candidates for the ``starved`` group: running tips
+        of the other groups that hold more than their quota."""
+        from repro.preemption.eviction import collect_candidates
+
+        protected = {job.spec.name for job in groups.get(starved, [])}
+        over = {
+            job.spec.name
+            for name, jobs in groups.items()
+            if name != starved and self._running_count(jobs) > quota_of(name)
+            for job in jobs
+        }
+        return [
+            c
+            for c in collect_candidates(self.cluster, protect_jobs=protected)
+            if c.tip.job.spec.name in over
+        ]
 
     @staticmethod
     def job_pending_demand(job: JobInProgress) -> int:

@@ -14,12 +14,10 @@ periodically rather than per-heartbeat.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError, NotPreemptibleError
+from repro.errors import ConfigurationError
 from repro.hadoop.job import JobInProgress
-from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
 from repro.schedulers.base import TaskScheduler
 
@@ -43,16 +41,12 @@ class CapacityScheduler(TaskScheduler):
             )
         self.default_queue = default_queue
         self.primitive_factory = primitive_factory
-        self.primitive = None
-        self.cluster = None
         self.reclaim_interval = reclaim_interval
-        self.reclamations = 0
 
     def attach_cluster(self, cluster) -> None:
         """Enable preemptive reclamation (optional)."""
-        self.cluster = cluster
-        if self.primitive_factory is not None:
-            self.primitive = self.primitive_factory(cluster)
+        super().attach_cluster(cluster)
+        if self.primitive is not None:
             self._schedule_reclaim()
 
     def _schedule_reclaim(self) -> None:
@@ -68,27 +62,13 @@ class CapacityScheduler(TaskScheduler):
             return job.spec.user
         return self.default_queue
 
-    def _total_map_slots(self) -> int:
-        return sum(t.map_slots for t in self.jobtracker.trackers.values())
-
     def queue_quota(self, queue: str) -> int:
         """Slots guaranteed to ``queue``."""
         fraction = self.queue_capacity.get(queue, 0.0)
         return max(1, int(round(fraction * self._total_map_slots())))
 
     def _queues(self) -> Dict[str, List[JobInProgress]]:
-        queues: Dict[str, List[JobInProgress]] = defaultdict(list)
-        for job in self._candidate_jobs():
-            queues[self.queue_of(job)].append(job)
-        return queues
-
-    def _running_count(self, jobs: List[JobInProgress]) -> int:
-        return sum(
-            1
-            for job in jobs
-            for tip in job.tips
-            if tip.state in (TipState.RUNNING, TipState.MUST_SUSPEND)
-        )
+        return self._group_jobs(self.queue_of)
 
     # -- assignment -----------------------------------------------------------------
 
@@ -97,92 +77,44 @@ class CapacityScheduler(TaskScheduler):
     ) -> List[TaskInProgress]:
         """Serve under-quota queues first, then let queues borrow."""
         assigned: List[TaskInProgress] = []
-        queues = self._queues()
+        ordered = sorted(
+            self._queues().items(),
+            key=lambda kv: (
+                self._running_count(kv[1]) / self.queue_quota(kv[0]),
+                kv[0],
+            ),
+        )
 
-        def usage_key(item):
-            queue, jobs = item
-            quota = self.queue_quota(queue)
-            return (self._running_count(jobs) / quota, queue)
+        def under_quota(queue, jobs) -> bool:
+            running = self._running_count(jobs) + sum(
+                1 for t in assigned if self.queue_of(t.job) == queue
+            )
+            return running < self.queue_quota(queue)
 
-        taken = set()
-        for borrowing_round in (False, True):
-            progress_made = True
-            while progress_made:
-                progress_made = False
-                for queue, jobs in sorted(queues.items(), key=usage_key):
-                    if free_map_slots <= 0 and free_reduce_slots <= 0:
-                        return assigned
-                    quota = self.queue_quota(queue)
-                    running = self._running_count(jobs) + sum(
-                        1 for t in assigned if self.queue_of(t.job) == queue
-                    )
-                    if not borrowing_round and running >= quota:
-                        continue
-                    for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
-                        tip = next(
-                            (
-                                t
-                                for t in job.schedulable_tips()
-                                if t.tip_id not in taken
-                                and (
-                                    free_map_slots > 0
-                                    if t.kind.value == "map"
-                                    else free_reduce_slots > 0
-                                )
-                            ),
-                            None,
-                        )
-                        if tip is None:
-                            continue
-                        taken.add(tip.tip_id)
-                        if tip.kind.value == "map":
-                            free_map_slots -= 1
-                        else:
-                            free_reduce_slots -= 1
-                        assigned.append(tip)
-                        progress_made = True
-                        break
+        free = self._deal_slots(
+            ordered, free_map_slots, free_reduce_slots, assigned, under_quota
+        )
+        self._deal_slots(ordered, *free, assigned)
         return assigned
 
     # -- reclamation --------------------------------------------------------------------
 
     def _reclaim_check(self) -> None:
         self._schedule_reclaim()
-        if self.primitive is None:
-            return
         queues = self._queues()
+        # Resume what we suspended once its queue is under its quota.
+        self._restore_suspended(
+            lambda tip: self._running_count(queues.get(self.queue_of(tip.job), []))
+            < self.queue_quota(self.queue_of(tip.job))
+        )
+        from repro.preemption.eviction import FurthestFromCompletionPolicy
+
         for queue, jobs in queues.items():
             quota = self.queue_quota(queue)
             running = self._running_count(jobs)
             pending = sum(self.job_pending_demand(job) for job in jobs)
             if pending == 0 or running >= quota:
                 continue
-            self._reclaim_for(queue, quota - running, queues)
-
-    def _reclaim_for(
-        self, queue: str, deficit: int, queues: Dict[str, List[JobInProgress]]
-    ) -> None:
-        from repro.preemption.eviction import (
-            FurthestFromCompletionPolicy,
-            collect_candidates,
-        )
-
-        over = set()
-        for other, jobs in queues.items():
-            if other == queue:
-                continue
-            if self._running_count(jobs) > self.queue_quota(other):
-                over.update(job.spec.name for job in jobs)
-        protected = {job.spec.name for job in queues.get(queue, [])}
-        candidates = [
-            c
-            for c in collect_candidates(self.cluster, protect_jobs=protected)
-            if c.tip.job.spec.name in over
-        ]
-        policy = FurthestFromCompletionPolicy()
-        for victim in policy.choose(candidates, deficit):
-            try:
-                self.primitive.preempt(victim.tip)
-                self.reclamations += 1
-            except NotPreemptibleError:
-                continue
+            candidates = self._over_quota_candidates(queues, queue, self.queue_quota)
+            victims = FurthestFromCompletionPolicy().choose(candidates, quota - running)
+            self._preempt_victims(victims)

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import NotPreemptibleError
 from repro.hadoop.job import JobInProgress
-from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
 from repro.schedulers.base import TaskScheduler
 
@@ -33,19 +31,14 @@ class DeadlineScheduler(TaskScheduler):
     ):
         super().__init__()
         self.primitive_factory = primitive_factory
-        self.primitive = None
-        self.cluster = None
         self.check_interval = check_interval
         #: extra seconds of safety subtracted from the slack
         self.slack_margin = slack_margin
-        self.preemptions = 0
-        self._suspended: List[TaskInProgress] = []
 
     def attach_cluster(self, cluster) -> None:
         """Enable preemption and the periodic slack check."""
-        self.cluster = cluster
-        if self.primitive_factory is not None:
-            self.primitive = self.primitive_factory(cluster)
+        super().attach_cluster(cluster)
+        if self.primitive is not None:
             self._schedule_check()
 
     def _schedule_check(self) -> None:
@@ -109,10 +102,8 @@ class DeadlineScheduler(TaskScheduler):
 
     def _slack_check(self) -> None:
         self._schedule_check()
-        if self.primitive is None:
-            return
         now = self.jobtracker.sim.now
-        self._maybe_restore()
+        self._restore_suspended(self._has_free_map_slot)
         for job in self.ordered_jobs():
             job_slack = self.slack(job, now)
             if job_slack is None or job_slack >= 0:
@@ -122,10 +113,13 @@ class DeadlineScheduler(TaskScheduler):
                 continue
             self._preempt_for(job, pending)
 
+    def _has_free_map_slot(self, tip: TaskInProgress) -> bool:
+        tracker = self.jobtracker.trackers.get(tip.tracker or "")
+        return tracker is not None and tracker.free_map_slots > 0
+
     def _preempt_for(self, urgent: JobInProgress, demand: int) -> None:
         from repro.preemption.eviction import collect_candidates
 
-        now = self.jobtracker.sim.now
         urgent_deadline = self.absolute_deadline(urgent)
 
         def later_or_none(c) -> bool:
@@ -149,23 +143,4 @@ class DeadlineScheduler(TaskScheduler):
                 c.tip_id,
             )
         )
-        for victim in candidates[:demand]:
-            try:
-                self.primitive.preempt(victim.tip)
-                self.preemptions += 1
-                if victim.tip.state is TipState.MUST_SUSPEND:
-                    self._suspended.append(victim.tip)
-            except NotPreemptibleError:
-                continue
-
-    def _maybe_restore(self) -> None:
-        still: List[TaskInProgress] = []
-        for tip in self._suspended:
-            if tip.state is not TipState.SUSPENDED:
-                continue
-            tracker = self.jobtracker.trackers.get(tip.tracker or "")
-            if tracker is not None and tracker.free_map_slots > 0:
-                self.primitive.restore(tip)
-            else:
-                still.append(tip)
-        self._suspended = still
+        self._preempt_victims(candidates[:demand])

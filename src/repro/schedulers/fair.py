@@ -21,12 +21,9 @@ slot release.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional
 
-from repro.errors import NotPreemptibleError
 from repro.hadoop.job import JobInProgress
-from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
 from repro.schedulers.base import TaskScheduler
 
@@ -42,28 +39,19 @@ class FairScheduler(TaskScheduler):
         check_interval: float = 5.0,
     ):
         super().__init__()
-        #: callable(cluster) -> PreemptionPrimitive; bound lazily so the
-        #: scheduler can be constructed before the cluster exists
         self.primitive_factory = primitive_factory
         self.eviction_policy = eviction_policy
         self.preemption_timeout = preemption_timeout
         self.check_interval = check_interval
-        self.primitive = None
-        self.cluster = None
         #: pool -> earliest time it has been continuously starved
         self._starved_since: Dict[str, Optional[float]] = {}
-        self._suspended_by_us: List[TaskInProgress] = []
-        self.preemptions = 0
 
     # -- wiring -------------------------------------------------------------
 
     def attach_cluster(self, cluster) -> None:
-        """Late-bind the cluster (called by experiment harnesses) to
-        enable preemption; without it the scheduler still shares
-        fairly but never preempts."""
-        self.cluster = cluster
-        if self.primitive_factory is not None:
-            self.primitive = self.primitive_factory(cluster)
+        """Enable preemption; without a primitive the scheduler still
+        shares fairly but never preempts."""
+        super().attach_cluster(cluster)
         if self.eviction_policy is None:
             from repro.preemption.eviction import ClosestToCompletionPolicy
 
@@ -78,21 +66,7 @@ class FairScheduler(TaskScheduler):
     # -- pools ------------------------------------------------------------------
 
     def _pools(self) -> Dict[str, List[JobInProgress]]:
-        pools: Dict[str, List[JobInProgress]] = defaultdict(list)
-        for job in self._candidate_jobs():
-            pools[job.spec.user].append(job)
-        return pools
-
-    def _total_map_slots(self) -> int:
-        return sum(t.map_slots for t in self.jobtracker.trackers.values())
-
-    def _running_count(self, jobs: List[JobInProgress]) -> int:
-        return sum(
-            1
-            for job in jobs
-            for tip in job.tips
-            if tip.state in (TipState.RUNNING, TipState.MUST_SUSPEND)
-        )
+        return self._group_jobs(lambda job: job.spec.user)
 
     def _pending_count(self, jobs: List[JobInProgress]) -> int:
         return sum(self.job_pending_demand(job) for job in jobs)
@@ -116,44 +90,12 @@ class FairScheduler(TaskScheduler):
         """Round-robin over pools ordered by deficit (running/share)."""
         assigned: List[TaskInProgress] = []
         share = self.fair_share()
-        pools = self._pools()
         # Most-starved pool first.
         ordered = sorted(
-            pools.items(),
+            self._pools().items(),
             key=lambda kv: (self._running_count(kv[1]) / max(1, share), kv[0]),
         )
-        taken = set()
-        progress_made = True
-        while (free_map_slots > 0 or free_reduce_slots > 0) and progress_made:
-            progress_made = False
-            for _pool, jobs in ordered:
-                jobs_sorted = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-                for job in jobs_sorted:
-                    tip = next(
-                        (
-                            t
-                            for t in job.schedulable_tips()
-                            if t.tip_id not in taken
-                            and (
-                                free_map_slots > 0
-                                if t.kind.value == "map"
-                                else free_reduce_slots > 0
-                            )
-                        ),
-                        None,
-                    )
-                    if tip is None:
-                        continue
-                    taken.add(tip.tip_id)
-                    if tip.kind.value == "map":
-                        free_map_slots -= 1
-                    else:
-                        free_reduce_slots -= 1
-                    assigned.append(tip)
-                    progress_made = True
-                    break
-                if free_map_slots <= 0 and free_reduce_slots <= 0:
-                    break
+        self._deal_slots(ordered, free_map_slots, free_reduce_slots, assigned)
         return assigned
 
     # -- preemption loop ----------------------------------------------------------------
@@ -162,10 +104,14 @@ class FairScheduler(TaskScheduler):
         self._schedule_check()
         if self.primitive is None:
             return
-        self._maybe_restore()
         share = self.fair_share()
-        now = self.jobtracker.sim.now
         pools = self._pools()
+        # Resume what we suspended once its pool is under its share.
+        self._restore_suspended(
+            lambda tip: self._running_count(pools.get(tip.job.spec.user, []))
+            < share
+        )
+        now = self.jobtracker.sim.now
         for pool, jobs in pools.items():
             running = self._running_count(jobs)
             pending = self._pending_count(jobs)
@@ -179,57 +125,6 @@ class FairScheduler(TaskScheduler):
             if now - since < self.preemption_timeout:
                 continue
             deficit = min(share - running, pending)
-            self._preempt_for(pool, deficit, share, pools)
+            candidates = self._over_quota_candidates(pools, pool, lambda _: share)
+            self._preempt_victims(self.eviction_policy.choose(candidates, deficit))
             self._starved_since[pool] = now  # rate-limit
-
-    def _preempt_for(
-        self,
-        starved_pool: str,
-        deficit: int,
-        share: int,
-        pools: Dict[str, List[JobInProgress]],
-    ) -> None:
-        from repro.preemption.eviction import collect_candidates
-
-        protected = {
-            job.spec.name for job in pools.get(starved_pool, [])
-        }
-        # Only pools above their share may lose tasks.
-        over_share_jobs = set()
-        for pool, jobs in pools.items():
-            if pool == starved_pool:
-                continue
-            if self._running_count(jobs) > share:
-                over_share_jobs.update(job.spec.name for job in jobs)
-        candidates = [
-            c
-            for c in collect_candidates(self.cluster, protect_jobs=protected)
-            if self.cluster.jobtracker.jobs[c.tip.job.job_id].spec.name
-            in over_share_jobs
-        ]
-        for victim in self.eviction_policy.choose(candidates, deficit):
-            try:
-                self.primitive.preempt(victim.tip)
-                self.preemptions += 1
-                if victim.tip.state is TipState.MUST_SUSPEND:
-                    self._suspended_by_us.append(victim.tip)
-            except NotPreemptibleError:
-                continue
-
-    def _maybe_restore(self) -> None:
-        """Resume tasks we suspended once their pool is under-subscribed
-        and their tracker has room."""
-        share = self.fair_share()
-        still_waiting: List[TaskInProgress] = []
-        for tip in self._suspended_by_us:
-            if tip.state is not TipState.SUSPENDED:
-                continue
-            pool_jobs = self._pools().get(tip.job.spec.user, [])
-            if self._running_count(pool_jobs) >= share:
-                still_waiting.append(tip)
-                continue
-            tracker = self.jobtracker.trackers.get(tip.tracker or "")
-            if tracker is None:
-                continue
-            self.primitive.restore(tip)
-        self._suspended_by_us = still_waiting

@@ -48,10 +48,7 @@ class HfspScheduler(TaskScheduler):
     ):
         super().__init__()
         self.primitive_factory = primitive_factory
-        self.primitive = None
-        self.cluster = None
         self.preempt_on_arrival = preempt_on_arrival
-        self.preemptions = 0
         self.locality_wait_seconds = locality_wait_seconds
         #: :class:`repro.preemption.admission.AdmissionConfig` enabling
         #: the swap-aware suspend gate; None keeps ungated suspension
@@ -60,17 +57,14 @@ class HfspScheduler(TaskScheduler):
         #: re-ranking victims; None keeps the historical
         #: largest-job-first order
         self.eviction_policy = eviction_policy
-        self._suspended: List[TaskInProgress] = []
 
     def attach_cluster(self, cluster) -> None:
         """Enable preemption (optional; without it HFSP degrades to
         non-preemptive shortest-job-first), the locality knob (which
         needs the rack map), and the suspend-admission gate."""
-        self.cluster = cluster
+        super().attach_cluster(cluster)
         self.topology = cluster.topology
         self.namenode = cluster.namenode
-        if self.primitive_factory is not None:
-            self.primitive = self.primitive_factory(cluster)
         if self.admission_config is not None:
             from repro.preemption.admission import SuspendAdmissionGate
 
@@ -330,16 +324,4 @@ class HfspScheduler(TaskScheduler):
         if self.eviction_policy is not None:
             candidates = self.eviction_policy.rank(candidates)
         demand = sum(1 for t in new_job.tips if t.schedulable)
-        for victim in candidates[: max(0, demand)]:
-            try:
-                action = self.preempt_with_admission(self.primitive, victim.tip)
-            except NotPreemptibleError:
-                continue
-            if self.admission is not None and action == "wait":
-                # Admission denied into waiting: the victim keeps its
-                # slot and the arrival queues behind it (counted in
-                # the gate's own stats).
-                continue
-            self.preemptions += 1
-            if victim.tip.state is TipState.MUST_SUSPEND:
-                self._suspended.append(victim.tip)
+        self._preempt_victims(candidates[: max(0, demand)])

@@ -10,6 +10,7 @@ no trace byte moves while it is.
 
 import pytest
 
+from repro.hadoop.states import TipState
 from repro.preemption.admission import AdmissionConfig
 from repro.preemption.base import make_primitive
 from repro.schedulers.capacity import CapacityScheduler
@@ -158,3 +159,14 @@ def test_scheduler_golden(name):
     cluster, jobs = run_cell(*build(), map_slots=map_slots)
     assert observe(name, cluster, jobs) == GOLDENS[name]
 
+
+def test_capacity_resumes_what_it_suspends():
+    """A reclaimed ``dev`` task that was suspended comes back: both
+    jobs succeed and no tip is left suspended."""
+    cluster, jobs = run_cell(*capacity("suspend"), map_slots=2)
+    scheduler = cluster.scheduler
+    assert scheduler.preemptions == scheduler.primitive.preempt_count >= 1
+    assert [job.state.value for job in jobs] == ["SUCCEEDED", "SUCCEEDED"]
+    assert not any(
+        tip.state is TipState.SUSPENDED for job in jobs for tip in job.tips
+    )
