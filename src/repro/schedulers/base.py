@@ -117,10 +117,11 @@ class TaskScheduler(abc.ABC):
 
     # -- helpers shared by implementations ----------------------------------------
 
-    def preempt_with_admission(self, primitive, tip: TaskInProgress) -> str:
-        """Preempt ``tip``, honouring the suspend-admission gate when
-        one is configured; returns the action actually taken
-        ("suspend", "kill", "wait" or the primitive's own name).
+    def preempt_with_admission(self, tip: TaskInProgress) -> str:
+        """Preempt ``tip`` with the scheduler's primitive, honouring the
+        suspend-admission gate when one is configured; returns the
+        action actually taken ("suspend", "kill", "wait" or the
+        primitive's own name).
 
         With no gate this is exactly ``primitive.preempt(tip)`` -- the
         historical, ungated behaviour.  With a gate, suspend requests
@@ -130,7 +131,7 @@ class TaskScheduler(abc.ABC):
         """
         from repro.preemption.admission import admit_and_preempt
 
-        return admit_and_preempt(self.admission, primitive, tip)
+        return admit_and_preempt(self.admission, self.primitive, tip)
 
     def _preempt_victims(self, victims: Iterable) -> None:
         """Preempt each eviction candidate's tip, in order.
@@ -144,7 +145,7 @@ class TaskScheduler(abc.ABC):
         for victim in victims:
             tip = victim.tip
             try:
-                action = self.preempt_with_admission(self.primitive, tip)
+                action = self.preempt_with_admission(tip)
             except NotPreemptibleError:
                 continue
             if self.admission is not None and action == "wait":
@@ -153,7 +154,9 @@ class TaskScheduler(abc.ABC):
             if tip.state is TipState.MUST_SUSPEND:
                 self._suspended.append(tip)
 
-    def _restore_suspended(self, may_restore: Callable[[TaskInProgress], bool]) -> None:
+    def _restore_suspended(
+        self, may_restore: Callable[[TaskInProgress], bool]
+    ) -> None:
         """Restore the suspended tips that ``may_restore`` accepts.
 
         Tips no longer SUSPENDED (resumed, finished, requeued, or with

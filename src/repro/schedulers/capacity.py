@@ -5,7 +5,8 @@ queues by their submitting user (falling back to a default queue).  A
 queue may borrow idle capacity from others (elasticity), and borrowed
 slots can be reclaimed by preempting the borrower with a pluggable
 primitive -- the second scheduler family the paper names as a
-beneficiary of a good preemption primitive.
+beneficiary of a good preemption primitive.  A suspended borrower
+resumes once its own queue is back under its quota.
 
 Simplifications versus Hadoop's CapacityScheduler: two-level queues
 only, no user limits within a queue, and reclamation is checked
@@ -101,20 +102,25 @@ class CapacityScheduler(TaskScheduler):
 
     def _reclaim_check(self) -> None:
         self._schedule_reclaim()
-        queues = self._queues()
-        # Resume what we suspended once its queue is under its quota.
-        self._restore_suspended(
-            lambda tip: self._running_count(queues.get(self.queue_of(tip.job), []))
-            < self.queue_quota(self.queue_of(tip.job))
-        )
         from repro.preemption.eviction import FurthestFromCompletionPolicy
 
+        queues = self._queues()
+
+        def under_quota(tip: TaskInProgress) -> bool:
+            queue = self.queue_of(tip.job)
+            return self._running_count(queues.get(queue, [])) < self.queue_quota(queue)
+
+        # Resume what we suspended once its queue is under its quota.
+        self._restore_suspended(under_quota)
         for queue, jobs in queues.items():
             quota = self.queue_quota(queue)
             running = self._running_count(jobs)
             pending = sum(self.job_pending_demand(job) for job in jobs)
             if pending == 0 or running >= quota:
                 continue
-            candidates = self._over_quota_candidates(queues, queue, self.queue_quota)
-            victims = FurthestFromCompletionPolicy().choose(candidates, quota - running)
-            self._preempt_victims(victims)
+            candidates = self._over_quota_candidates(
+                queues, queue, self.queue_quota
+            )
+            self._preempt_victims(
+                FurthestFromCompletionPolicy().choose(candidates, quota - running)
+            )
