@@ -35,7 +35,6 @@ from repro.schedulers.failure_aware import (
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.hfsp import HfspScheduler
-from repro.schedulers.triggers import ProgressTrigger, TriggerAction, TriggerEngine
 
 __all__ = [
     "TaskScheduler",
@@ -47,7 +46,4 @@ __all__ = [
     "DeadlineScheduler",
     "FailureAwareMixin",
     "FailureAwareFifoScheduler",
-    "ProgressTrigger",
-    "TriggerAction",
-    "TriggerEngine",
 ]

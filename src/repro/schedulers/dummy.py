@@ -11,9 +11,11 @@
     the purpose of a comparative analysis."
 
 Assignment is priority-then-FIFO (so the high-priority job wins any
-freed slot) restricted to an optional allowlist; eviction decisions
-come from :class:`~repro.schedulers.triggers.TriggerEngine` rules that
-the experiment harness installs.
+freed slot) restricted to an optional allowlist.  The triggers are the
+experiment harness's own: an exact progress watch
+(:meth:`~repro.hadoop.cluster.HadoopCluster.when_job_progress`) submits
+the high-priority job and preempts, and a job-completion callback
+(:meth:`~repro.hadoop.jobtracker.JobTracker.on_job_complete`) restores.
 """
 
 from __future__ import annotations

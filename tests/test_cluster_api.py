@@ -99,6 +99,80 @@ class TestLookupHelpers:
             cluster2.run_until_jobs_complete(timeout=30.0)
 
 
+class TestWhenJobProgress:
+    """``when_job_progress`` arms an exact progress crossing on the
+    watched job's first work attempt."""
+
+    def test_fires_at_exact_progress(self):
+        cluster = quick_cluster()
+        fired_at = []
+        cluster.when_job_progress(
+            "watched", 0.5, lambda: fired_at.append(cluster.sim.now)
+        )
+        job = cluster.submit_job(job_spec("watched"))
+        cluster.run_until_jobs_complete()
+        assert len(fired_at) == 1
+        # 70 MB at 7 MB/s: 50% of the map is 5 s in; plus jvm/setup
+        # preamble the crossing lands shortly after launch + 5 s.
+        launch = job.tips[0].first_launched_at
+        assert fired_at[0] == pytest.approx(launch + 5.0, abs=1.5)
+
+    def test_fires_once(self):
+        cluster = quick_cluster()
+        count = []
+        cluster.when_job_progress("watched", 0.2, lambda: count.append(1))
+        cluster.submit_job(job_spec("watched"))
+        cluster.run_until_jobs_complete()
+        assert count == [1]
+
+    def test_armed_after_attempt_running(self):
+        cluster = quick_cluster()
+        cluster.submit_job(job_spec("low"))
+        cluster.start()
+        cluster.sim.run(until=5.0)  # attempt already running
+        fired = []
+        cluster.when_job_progress("low", 0.8, lambda: fired.append(1))
+        cluster.run_until_jobs_complete()
+        assert fired == [1]
+
+    def test_ignores_setup_attempts(self):
+        # The watch must arm on the work attempt, not the setup task.
+        cluster = quick_cluster()
+        seen_progress = []
+        cluster.when_job_progress(
+            "watched",
+            0.5,
+            lambda: seen_progress.append(
+                cluster.job_by_name("watched").tips[0].progress
+            ),
+        )
+        cluster.submit_job(job_spec("watched"))
+        cluster.run_until_jobs_complete()
+        assert len(seen_progress) == 1
+        assert seen_progress[0] > 0
+
+    def test_resume_on_job_complete(self):
+        # The paper's dummy-scheduler script: at 40% of "low", submit
+        # "high" and suspend "low"; resume "low" when "high" completes.
+        cluster = quick_cluster()
+        jt = cluster.jobtracker
+        low = cluster.submit_job(job_spec("low"))
+
+        def preempt():
+            jt.submit_job(job_spec("high", input_mb=14))
+            jt.suspend_task(low.tips[0].tip_id)
+
+        cluster.when_job_progress("low", 0.4, preempt)
+        jt.on_job_complete(
+            lambda job: jt.resume_task(low.tips[0].tip_id)
+            if job.spec.name == "high"
+            else None
+        )
+        cluster.run_until_jobs_complete(timeout=7200)
+        assert low.tips[0].state is TipState.SUCCEEDED
+        assert sum(a.resume_count for a in cluster.attempts_of("low")) == 1
+
+
 class TestPreemptionStorm:
     """Random suspend/resume/kill storms must never wedge the cluster."""
 
