@@ -388,6 +388,12 @@ def _cmd_run(args) -> int:
     finally:
         if server is not None:
             server.stop()
+            if sweep.cache_dir is None:
+                # The ledger sat in a throwaway directory of our own.
+                import shutil
+
+                shutil.rmtree(os.path.dirname(sweep.ledger_path),
+                              ignore_errors=True)
     _emit_report(report, args.out, plots=not args.no_plots)
     return 0
 

@@ -108,6 +108,17 @@ class TestSweepFlags:
             capsys.readouterr().err
         )
 
+    def test_served_run_leaves_no_temp_dir(self, tmp_path, monkeypatch,
+                                           capsys):
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        assert main(["run", "fig2", "--quick", "--runs", "1", "--serve",
+                     "--quiet", "--no-plots"]) == 0
+        assert "observatory at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.integration
     def test_checkpointed_cli_sweep_resumes_from_its_cache(
         self, tmp_path, capsys
