@@ -66,15 +66,6 @@ class TwoJobResult:
             runs=list(runs),
         )
 
-    def as_row(self) -> List[float]:
-        """Table row: r%, sojourn, makespan, paged MB."""
-        return [
-            self.progress_at_launch * 100,
-            self.sojourn_th.mean,
-            self.makespan.mean,
-            self.tl_paged_bytes.mean / (1024 * 1024),
-        ]
-
 
 class _PreemptAndSubmit:
     """Progress-watch callback: submit ``th`` and preempt ``tl`` the

@@ -17,7 +17,7 @@ feeds them, so every pre-existing metrics digest is unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.telemetry.registry import MetricRegistry
 
@@ -75,21 +75,3 @@ def merge_sketches(results: Iterable[Dict]) -> MetricRegistry:
         if payload:
             merged.merge(MetricRegistry.from_dict(payload))
     return merged
-
-
-def sweep_sojourns(registry: MetricRegistry) -> List[str]:
-    """Human-readable p50/p95 lines for every ``*/sojourn`` histogram
-    in a merged sweep registry."""
-    lines = []
-    for name in registry.names():
-        if not name.endswith("/sojourn"):
-            continue
-        hist = registry.histogram(name)
-        if hist.count == 0:
-            continue
-        lines.append(
-            f"{name[:-len('/sojourn')]}: n={hist.count} "
-            f"mean={hist.mean():.1f}s p50={hist.quantile(0.5):.1f}s "
-            f"p95={hist.quantile(0.95):.1f}s"
-        )
-    return lines

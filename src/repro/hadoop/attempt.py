@@ -281,12 +281,5 @@ class TaskAttempt:
             return 0
         return self.process.image.resident
 
-    def runtime_seconds(self) -> float:
-        """Wall time from launch to completion (or now)."""
-        if self.launched_at is None:
-            return 0.0
-        end = self.finished_at if self.finished_at is not None else self.sim.now
-        return end - self.launched_at
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TaskAttempt({self.attempt_id}, {self.state.value})"

@@ -302,11 +302,6 @@ class HadoopCluster:
         tracker.restart(stagger=stagger)
         self.trace("cluster.restart", host=host)
 
-    def wasted_work_seconds(self) -> float:
-        """Total discarded task-seconds (kills, failures, node losses,
-        speculation losers) from the JobTracker's wasted-work ledger."""
-        return self.jobtracker.wasted.total()
-
     def wasted_network_bytes(self) -> int:
         """Total discarded shuffle traffic (killed/failed attempts'
         fetched bytes) from the wasted-work ledger's network column."""

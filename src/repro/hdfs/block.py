@@ -35,9 +35,5 @@ class BlockLocation:
     block: Block
     hosts: List[str] = field(default_factory=list)
 
-    def is_local_to(self, host: str) -> bool:
-        """True when ``host`` stores a replica."""
-        return host in self.hosts
-
     def __str__(self) -> str:
         return f"{self.block} @ {','.join(self.hosts) or '<unplaced>'}"

@@ -9,7 +9,7 @@ what makes the paper's swappiness discussion meaningful).
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.errors import BlockNotFoundError
 from repro.hdfs.block import Block
@@ -32,18 +32,9 @@ class DataNode:
         self.bytes_served = 0
         self.remote_bytes_served = 0
 
-    @property
-    def stored_blocks(self) -> Set[int]:
-        """Ids of the replicas stored here."""
-        return set(self._blocks)
-
     def store(self, block: Block) -> None:
         """Accept a replica of ``block``."""
         self._blocks[block.block_id] = block
-
-    def has_block(self, block_id: int) -> bool:
-        """True when a replica of ``block_id`` is stored here."""
-        return block_id in self._blocks
 
     def used_bytes(self) -> int:
         """Total bytes of replicas stored here."""

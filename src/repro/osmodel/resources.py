@@ -418,12 +418,6 @@ class RateResource:
         """Number of claims currently being served."""
         return len(self._claims)
 
-    @property
-    def virtual_time(self) -> float:
-        """Cumulative per-claim service delivered so far (introspection
-        for tests and benchmarks)."""
-        return self._virtual_now()
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"{type(self).__name__}(name={self.name!r}, claims={len(self._claims)})"
 

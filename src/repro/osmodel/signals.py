@@ -72,10 +72,6 @@ class SignalDispositions:
             raise InvalidSignalError(f"{sig.value} cannot be caught")
         self._handlers[sig] = handler
 
-    def uninstall(self, sig: Signal) -> None:
-        """Restore the default disposition for ``sig``."""
-        self._handlers.pop(sig, None)
-
     def handler_for(self, sig: Signal) -> Optional[SignalHandler]:
         """The installed handler, or None for default disposition."""
         return self._handlers.get(sig)

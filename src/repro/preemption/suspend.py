@@ -29,24 +29,19 @@ class SuspendResumePrimitive(PreemptionPrimitive):
         self,
         cluster,
         enforce_swap_capacity: bool = True,
-        enforce_suspend_cap: bool = True,
     ):
         super().__init__(cluster)
         #: static capacity compare: victim + suspended vs the swap
-        #: *device size* (coarse; see :meth:`_check_swap_capacity`)
+        #: *device size* (coarse; see :meth:`_check_swap_capacity`).
+        #: Dynamically-gated setups drop it; the per-tracker count cap
+        #: (``HadoopConfig.max_suspended_per_tracker``) always holds.
         self.enforce_swap_capacity = enforce_swap_capacity
-        #: per-tracker suspended-count cap
-        #: (``HadoopConfig.max_suspended_per_tracker``); kept separate
-        #: so dynamically-gated setups can drop the capacity compare
-        #: while retaining the historical count cap
-        self.enforce_suspend_cap = enforce_suspend_cap
 
     def preempt(self, tip: TaskInProgress) -> None:
         """Mark the task MUST_SUSPEND; the TaskTracker stops it at the
         next heartbeat exchange."""
         self._require_running(tip)
-        if self.enforce_suspend_cap:
-            self._check_suspend_cap(tip)
+        self._check_suspend_cap(tip)
         if self.enforce_swap_capacity:
             self._check_swap_capacity(tip)
         self.preempt_count += 1

@@ -59,9 +59,6 @@ class TelemetryCapture:
             ]
         )
 
-    def span_count(self) -> int:
-        return sum(len(cell.collector.spans) for cell in self.cells)
-
 
 def capture_experiment(
     name: str,

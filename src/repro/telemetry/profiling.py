@@ -76,11 +76,6 @@ def engine_stats(sim: Simulation) -> dict:
     return stats
 
 
-def render_engine_profile(sim: Simulation, top: int = 20) -> str:
-    """Human-readable profile of a live simulation."""
-    return render_engine_stats(engine_stats(sim), top=top)
-
-
 def render_engine_stats(stats: Dict, top: int = 20) -> str:
     """Human-readable profile from an :func:`engine_stats` snapshot:
     churn summary plus the top label families by fired events, with
