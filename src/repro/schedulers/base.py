@@ -229,7 +229,9 @@ class TaskScheduler(abc.ABC):
                 tip = next(
                     (
                         t
-                        for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+                        for job in sorted(
+                            jobs, key=lambda j: (j.submit_time, j.job_id)
+                        )
                         for t in job.schedulable_tips()
                         if t.tip_id not in taken
                         and (
