@@ -151,6 +151,34 @@ class TestWhenJobProgress:
         assert len(seen_progress) == 1
         assert seen_progress[0] > 0
 
+    def test_submit_and_suspend(self):
+        # At 40% of "low", submit "high" and suspend "low".
+        cluster = quick_cluster()
+        jt = cluster.jobtracker
+        low = cluster.submit_job(job_spec("low"))
+
+        def preempt():
+            jt.submit_job(job_spec("high", input_mb=14))
+            jt.suspend_task(low.tips[0].tip_id)
+
+        cluster.when_job_progress("low", 0.4, preempt)
+        cluster.start()
+        cluster.sim.run(until=15.0)
+        assert low.tips[0].state is TipState.SUSPENDED
+        assert cluster.job_by_name("high") is not None
+
+    def test_kill_at_progress(self):
+        # Killing "low" at 40% reruns its task from scratch.
+        cluster = quick_cluster()
+        jt = cluster.jobtracker
+        low = cluster.submit_job(job_spec("low"))
+        cluster.when_job_progress(
+            "low", 0.4, lambda: jt.kill_task(low.tips[0].tip_id)
+        )
+        cluster.run_until_jobs_complete(timeout=7200)
+        assert low.tips[0].state is TipState.SUCCEEDED
+        assert low.tips[0].next_attempt_number == 2  # killed then rerun
+
     def test_resume_on_job_complete(self):
         # The paper's dummy-scheduler script: at 40% of "low", submit
         # "high" and suspend "low"; resume "low" when "high" completes.
