@@ -172,6 +172,12 @@ class TaskScheduler(abc.ABC):
                 kept.append(tip)
         self._suspended = kept
 
+    def _has_free_map_slot(self, tip: TaskInProgress) -> bool:
+        """True when the tracker ``tip`` is bound to has an idle map
+        slot (where a resume of ``tip`` would land)."""
+        tracker = self.jobtracker.trackers.get(tip.tracker or "")
+        return tracker is not None and tracker.free_map_slots > 0
+
     def _candidate_jobs(self) -> List[JobInProgress]:
         """Running jobs in submission order."""
         return self.jobtracker.running_jobs()

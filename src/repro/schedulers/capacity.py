@@ -6,7 +6,8 @@ queue may borrow idle capacity from others (elasticity), and borrowed
 slots can be reclaimed by preempting the borrower with a pluggable
 primitive -- the second scheduler family the paper names as a
 beneficiary of a good preemption primitive.  A suspended borrower
-resumes once its own queue is back under its quota.
+resumes once its own queue is back under its quota, or once its
+tracker has an idle slot that no under-quota queue is waiting for.
 
 Simplifications versus Hadoop's CapacityScheduler: two-level queues
 only, no user limits within a queue, and reclamation is checked
@@ -106,12 +107,21 @@ class CapacityScheduler(TaskScheduler):
 
         queues = self._queues()
 
-        def under_quota(tip: TaskInProgress) -> bool:
-            queue = self.queue_of(tip.job)
+        def under_quota(queue: str) -> bool:
             return self._running_count(queues.get(queue, [])) < self.queue_quota(queue)
 
-        # Resume what we suspended once its queue is under its quota.
-        self._restore_suspended(under_quota)
+        def may_restore(tip: TaskInProgress) -> bool:
+            queue = self.queue_of(tip.job)
+            if under_quota(queue):
+                return True
+            # An idle slot that no under-quota queue is waiting for goes
+            # to the borrow round, so the borrower may take it back.
+            return self._has_free_map_slot(tip) and not any(
+                under_quota(name) and any(map(self.job_pending_demand, jobs))
+                for name, jobs in queues.items()
+            )
+
+        self._restore_suspended(may_restore)
         for queue, jobs in queues.items():
             quota = self.queue_quota(queue)
             running = self._running_count(jobs)

@@ -113,10 +113,6 @@ class DeadlineScheduler(TaskScheduler):
                 continue
             self._preempt_for(job, pending)
 
-    def _has_free_map_slot(self, tip: TaskInProgress) -> bool:
-        tracker = self.jobtracker.trackers.get(tip.tracker or "")
-        return tracker is not None and tracker.free_map_slots > 0
-
     def _preempt_for(self, urgent: JobInProgress, demand: int) -> None:
         from repro.preemption.eviction import collect_candidates
 

@@ -170,3 +170,18 @@ def test_capacity_resumes_what_it_suspends():
     assert not any(
         tip.state is TipState.SUSPENDED for job in jobs for tip in job.tips
     )
+
+
+def test_capacity_resumes_into_an_idle_slot():
+    """Once ``prod`` is done its slot sits idle and no under-quota
+    queue waits for it, so the first reclaim check after the job ends
+    hands it back to the suspended ``dev`` task, and ``dev`` finishes
+    before it does under kill."""
+    cluster, (dev, prod) = run_cell(*capacity("suspend"), map_slots=2)
+    trace = cluster.sim.trace_log
+    interval = cluster.scheduler.reclaim_interval
+    prod_done = trace.first("jt.job-done", name="p1").time
+    first_check_after = (prod_done // interval + 1) * interval
+    assert first_check_after == 14.0
+    assert [rec.time for rec in trace.find("preempt.resume")] == [14.0]
+    assert dev.finish_time < GOLDENS["capacity-kill"][3][0]
