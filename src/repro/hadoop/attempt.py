@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.tasktracker import TaskTracker
 
 
+_SUCCEEDED = AttemptState.SUCCEEDED
+
+
 class AttemptRole(enum.Enum):
     """What the attempt executes."""
 
@@ -124,14 +127,21 @@ class TaskAttempt:
         self.tracker.trace("attempt.launch", attempt=self.attempt_id)
 
     def progress(self) -> float:
-        """Task progress in [0, 1]."""
-        if self.state is AttemptState.SUCCEEDED:
+        """Task progress in [0, 1].
+
+        A live attempt's is the work engine's, evaluated in one call
+        (:meth:`repro.osmodel.work.WorkEngine.progress`): every busy
+        tracker's heartbeat reports it for each attempt.
+        """
+        state = self.state
+        if state is _SUCCEEDED:
             return 1.0
-        if self.jvm is None:
+        jvm = self.jvm
+        if jvm is None:
             return 0.0
-        if self.state.terminal:
+        if state.terminal:
             return self._final_progress
-        return self.jvm.progress()
+        return jvm.engine.progress()
 
     # -- preemption primitives (signal side) ------------------------------------------
 

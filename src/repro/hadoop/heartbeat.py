@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Set
 
 from repro.hadoop.states import AttemptState
 
@@ -19,9 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.job import JobInProgress
 
 
-@dataclass(frozen=True, slots=True)
-class AttemptStatus:
-    """One attempt's status inside a heartbeat report."""
+class AttemptStatus(NamedTuple):
+    """One attempt's status inside a heartbeat report.
+
+    A tuple, so it is immutable and cheap to build: a busy tracker
+    builds one per live attempt on every heartbeat.
+    """
 
     attempt_id: str
     tip_id: str

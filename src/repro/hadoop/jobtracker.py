@@ -51,10 +51,18 @@ from repro.metrics.wasted import (
 from repro.sim.engine import Simulation
 from repro.workloads.jobspec import JobSpec, TaskKind, TaskSpec
 
-#: the tip states :meth:`JobTracker._preemption_actions` acts on
-_DIRECTIVE_STATES = frozenset(
-    (TipState.MUST_SUSPEND, TipState.MUST_RESUME, TipState.MUST_KILL)
-)
+# Member aliases for the per-status and per-tip tests of the report
+# path: identity against a module global costs no Python-level enum
+# code (a member lookup on the class, or hashing a member, does).
+_MUST_SUSPEND = TipState.MUST_SUSPEND
+_MUST_RESUME = TipState.MUST_RESUME
+_MUST_KILL = TipState.MUST_KILL
+_RUNNING = AttemptState.RUNNING
+_SUSPENDING = AttemptState.SUSPENDING
+_SUSPENDED = AttemptState.SUSPENDED
+_SUCCEEDED = AttemptState.SUCCEEDED
+_FAILED = AttemptState.FAILED
+_KILLED = AttemptState.KILLED
 
 
 @dataclass(frozen=True)
@@ -526,10 +534,13 @@ class JobTracker:
         bucket = self._tips_by_tracker.get(host)
         if bucket:
             for tip in bucket.values():
+                # the states _preemption_actions sends a directive for
+                state = tip.state
                 if (
-                    tip.state in _DIRECTIVE_STATES
-                    and tip.active_attempt_id is not None
-                ):
+                    state is _MUST_SUSPEND
+                    or state is _MUST_RESUME
+                    or state is _MUST_KILL
+                ) and tip.active_attempt_id is not None:
                     return False
         return True
 
@@ -557,32 +568,35 @@ class JobTracker:
     # -- report processing --------------------------------------------------------------------
 
     def _process_report(self, report: HeartbeatReport) -> None:
+        tips = self._tips
         for status in report.attempts:
-            tip = self._tips.get(status.tip_id)
+            tip = tips.get(status.tip_id)
             if tip is None:
                 continue
-            if status.attempt_id == tip.speculative_attempt_id:
+            attempt_id = status.attempt_id
+            if attempt_id == tip.speculative_attempt_id:
                 self._process_speculative_status(tip, status, report.tracker)
                 continue
-            if status.attempt_id != tip.active_attempt_id:
+            if attempt_id != tip.active_attempt_id:
                 # Stale report for a superseded attempt.
                 continue
-            if status.state is AttemptState.SUCCEEDED:
-                self._on_attempt_succeeded(tip, status)
-            elif status.state is AttemptState.FAILED:
-                self._on_attempt_failed(tip, status, report.tracker)
-            elif status.state is AttemptState.KILLED:
-                self._on_attempt_killed(tip, status)
-            elif status.state is AttemptState.SUSPENDED:
-                if tip.state is TipState.MUST_SUSPEND:
-                    tip.confirm_suspended(self.sim.now)
-                    self.trace("jt.suspended", tip=tip.tip_id)
-                tip.progress = status.progress
-            elif status.state in (AttemptState.RUNNING, AttemptState.SUSPENDING):
-                if tip.state is TipState.MUST_RESUME:
+            state = status.state
+            if state is _RUNNING or state is _SUSPENDING:
+                if tip.state is _MUST_RESUME:
                     tip.confirm_resumed(self.sim.now)
                     self.trace("jt.resumed", tip=tip.tip_id)
                 tip.progress = status.progress
+            elif state is _SUSPENDED:
+                if tip.state is _MUST_SUSPEND:
+                    tip.confirm_suspended(self.sim.now)
+                    self.trace("jt.suspended", tip=tip.tip_id)
+                tip.progress = status.progress
+            elif state is _SUCCEEDED:
+                self._on_attempt_succeeded(tip, status)
+            elif state is _FAILED:
+                self._on_attempt_failed(tip, status, report.tracker)
+            elif state is _KILLED:
+                self._on_attempt_killed(tip, status)
 
     def _process_speculative_status(
         self, tip: TaskInProgress, status: AttemptStatus, tracker: str

@@ -39,21 +39,30 @@ class TipState(enum.Enum):
     KILLED = "KILLED"
     FAILED = "FAILED"
 
+    # The properties test identity against the module-level aliases
+    # below: a member lookup on an Enum class, and hashing a member,
+    # run Python-level enum code, and heartbeats ask these per status.
+
     @property
     def terminal(self) -> bool:
         """True for states a task never leaves."""
-        return self in (TipState.SUCCEEDED, TipState.KILLED, TipState.FAILED)
+        return self is _TIP_SUCCEEDED or self is _TIP_KILLED or self is _TIP_FAILED
 
     @property
     def active(self) -> bool:
         """True while an attempt exists on some TaskTracker."""
-        return self in (
-            TipState.RUNNING,
-            TipState.MUST_SUSPEND,
-            TipState.SUSPENDED,
-            TipState.MUST_RESUME,
-            TipState.MUST_KILL,
+        return not (
+            self is _TIP_UNASSIGNED
+            or self is _TIP_SUCCEEDED
+            or self is _TIP_KILLED
+            or self is _TIP_FAILED
         )
+
+
+_TIP_UNASSIGNED = TipState.UNASSIGNED
+_TIP_SUCCEEDED = TipState.SUCCEEDED
+_TIP_KILLED = TipState.KILLED
+_TIP_FAILED = TipState.FAILED
 
 
 #: Legal TipState transitions; the JobTracker enforces these, and the
@@ -148,11 +157,7 @@ class AttemptState(enum.Enum):
     @property
     def terminal(self) -> bool:
         """True once the attempt can never run again."""
-        return self in (
-            AttemptState.SUCCEEDED,
-            AttemptState.KILLED,
-            AttemptState.FAILED,
-        )
+        return self is _SUCCEEDED or self is _KILLED or self is _FAILED
 
     @property
     def holds_slot(self) -> bool:
@@ -162,8 +167,12 @@ class AttemptState(enum.Enum):
         keeps its process (and memory image) but *releases its slot*
         so the high-priority task can run.
         """
-        return self in (
-            AttemptState.STARTING,
-            AttemptState.RUNNING,
-            AttemptState.SUSPENDING,
-        )
+        return self is _RUNNING or self is _STARTING or self is _SUSPENDING
+
+
+_STARTING = AttemptState.STARTING
+_RUNNING = AttemptState.RUNNING
+_SUSPENDING = AttemptState.SUSPENDING
+_SUCCEEDED = AttemptState.SUCCEEDED
+_KILLED = AttemptState.KILLED
+_FAILED = AttemptState.FAILED

@@ -304,27 +304,32 @@ class TaskTracker:
         reported_terminal = []
         for attempt in self._reportable.values():
             state = attempt.state
-            terminal = state.terminal
-            if terminal and attempt.attempt_id not in self._unreported:
-                continue
-            statuses.append(
-                AttemptStatus(
-                    attempt_id=attempt.attempt_id,
-                    tip_id=attempt.tip_id,
-                    job_id=attempt.job_id,
-                    state=state,
-                    progress=attempt.progress(),
-                    # A live attempt has discarded nothing and was not
-                    # OOM-killed (the JobTracker reads these two on
-                    # FAILED/KILLED statuses only).
-                    discarded_network_bytes=(
-                        attempt.discarded_network_bytes() if terminal else 0
-                    ),
-                    oom_killed=terminal and attempt.oom_killed(),
+            if not state.terminal:
+                # A live attempt has discarded nothing and was not
+                # OOM-killed (the JobTracker reads those two fields on
+                # FAILED/KILLED statuses only).
+                statuses.append(
+                    AttemptStatus(
+                        attempt.attempt_id,
+                        attempt.tip_id,
+                        attempt.job_id,
+                        state,
+                        attempt.progress(),
+                    )
                 )
-            )
-            if terminal:
+            elif attempt.attempt_id in self._unreported:
                 reported_terminal.append(attempt.attempt_id)
+                statuses.append(
+                    AttemptStatus(
+                        attempt.attempt_id,
+                        attempt.tip_id,
+                        attempt.job_id,
+                        state,
+                        attempt.progress(),
+                        attempt.discarded_network_bytes(),
+                        attempt.oom_killed(),
+                    )
+                )
         for attempt_id in reported_terminal:
             self._unreported.remove(attempt_id)
             self._reportable.pop(attempt_id, None)

@@ -48,6 +48,10 @@ class WorkItem(abc.ABC):
 
     __slots__ = ("label", "weight", "started", "finished")
 
+    #: the resource claim serving the item; only rate-backed items
+    #: (:class:`RateWorkItem`) ever hold one
+    claim: Optional["Claim"] = None
+
     def __init__(self, label: str, weight: float = 0.0):
         self.label = label
         self.weight = weight
@@ -571,19 +575,49 @@ class WorkEngine:
     # -- progress ------------------------------------------------------------------
 
     def progress(self) -> float:
-        """Weighted plan progress in [0, 1], settled to now."""
+        """Weighted plan progress in [0, 1], settled to now.
+
+        An item served by an active claim is evaluated inline against
+        its resource's virtual clock S: the item's fraction is
+        ``1 - max(0, vfinish - S(now)) / initial``, clamped to [0, 1],
+        with the very float operations, in the same order, that
+        :meth:`Claim.fraction_done` and
+        :meth:`RateResource._virtual_now` perform (each conditional
+        below returns what the ``max``/``min`` it replaces returns).
+        Other items (sleeps, paused or aborted claims) answer through
+        :meth:`WorkItem.fraction_done`.
+        """
         if self._aborted_progress is not None:
             return self._aborted_progress
-        total = self.plan.total_weight
+        plan = self.plan
+        total = plan.total_weight
         if total <= 0:
-            if not self.plan.items:
+            if not plan.items:
                 return 1.0
-            return self.index / len(self.plan.items)
+            return self.index / len(plan.items)
         done = self._completed_weight
-        item = self.current_item
-        if item is not None and item.started and not item.finished and item.weight > 0:
-            done += item.weight * item.fraction_done(self)
-        return max(0.0, min(1.0, done / total))
+        items = plan.items
+        index = self.index
+        if not self.completed and index < len(items):
+            item = items[index]
+            weight = item.weight
+            if item.started and not item.finished and weight > 0:
+                claim = item.claim
+                if claim is None or not claim.active or claim.initial <= 0:
+                    done += weight * item.fraction_done(self)
+                else:
+                    resource = claim.resource
+                    vnow = resource._vtime
+                    elapsed = resource.sim.now - resource._vtime_at
+                    if elapsed > 0:  # the active claim is being served
+                        vnow = vnow + resource.rate_per_claim() * elapsed
+                    left = claim._vfinish - vnow
+                    fraction = 1.0 - (left if left > 0.0 else 0.0) / claim.initial
+                    fraction = fraction if fraction < 1.0 else 1.0
+                    done += weight * (fraction if fraction > 0.0 else 0.0)
+        done = done / total
+        done = done if done < 1.0 else 1.0
+        return done if done > 0.0 else 0.0
 
     def when_progress(self, fraction: float, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` at the exact instant :meth:`progress`

@@ -25,9 +25,12 @@ from repro.errors import NotPreemptibleError
 from repro.hadoop.job import JobInProgress
 from repro.hadoop.states import TipState
 from repro.hadoop.task import TaskInProgress
+from repro.workloads.jobspec import TaskKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.jobtracker import JobTracker
+
+_MAP = TaskKind.MAP
 
 
 class TaskScheduler(abc.ABC):
@@ -326,17 +329,16 @@ class TaskScheduler(abc.ABC):
         # resolve each at most once per call instead of per tip.
         memo: dict = {}
         for tip in self._schedulable_order(job):
-            if tip.kind.value == "map":
-                if want_map <= 0:
-                    continue
-            else:
-                if want_reduce <= 0:
-                    continue
+            if want_map <= 0 and want_reduce <= 0:
+                break  # every later tip would be skipped
+            is_map = tip.spec.kind is _MAP
+            if (want_map if is_map else want_reduce) <= 0:
+                continue
             if check_locality and self._decline_for_locality(
                 tip, tracker, delay, memo
             ):
                 continue
-            if tip.kind.value == "map":
+            if is_map:
                 want_map -= 1
             else:
                 want_reduce -= 1
