@@ -325,6 +325,18 @@ class TestBenchGuard:
         problems, _ = guard.check(current, baseline)
         assert problems and "sketch digest" in problems[0]
 
+    def test_report_counters_compare_exactly(self):
+        # Fewer reports or statuses than the baseline is drift too: the
+        # report path's work is pinned, not bounded.
+        guard = self._load_guard()
+        baseline = {"cell": {"wall_s": 1.0, "events": 10, "engine_ops": 0,
+                             "reports": 100, "statuses": 170}}
+        for counter, value in (("reports", 99), ("statuses", 171)):
+            current = {"cell": dict(baseline["cell"], **{counter: value})}
+            problems, _ = guard.check(current, baseline)
+            assert problems and f"cell: {counter}" in problems[0]
+        assert guard.check({"cell": dict(baseline["cell"])}, baseline) == ([], [])
+
     def test_wall_gated_bench_fails_past_its_bound_at_full_scale(self):
         guard = self._load_guard()
         baseline = {

@@ -14,7 +14,11 @@ scale cells (2000 trackers in the default tier, 5000 behind
   engine's self-profiling hooks (deterministic: same seed, same
   counts to the event);
 * ``sketch_digest`` -- the scale cells' metric-sketch hash
-  (deterministic).
+  (deterministic);
+* ``reports`` / ``statuses`` -- on the ``REPORT_COUNTED`` benches,
+  heartbeat reports built (``TaskTracker.build_report`` calls) and the
+  attempt statuses they carried (deterministic; counted by wrapping
+  the method from here, so the program pays nothing).
 
 ``--check BASELINE`` compares against a checked-in baseline.  **The
 deterministic counters are strict**: they compare exactly on any
@@ -22,7 +26,9 @@ machine, so a >20% event/op growth exits non-zero, and the per-label
 family counts and sketch digests must match the baseline *exactly* --
 any drift in what the engine fires per label, or in what a scale cell
 computes, is a behaviour change someone must either explain or bless
-with ``--update-baseline``.  Wall-clock
+with ``--update-baseline``.  ``reports`` and ``statuses`` compare
+exactly too: they gate the work of the heartbeat's report path, which
+no engine event shows.  Wall-clock
 baselines are checked in from whatever host refreshed them last, and
 per-bench speed ratios vary across CPUs far beyond any useful
 tolerance; the guard therefore *recalibrates* the wall baseline --
@@ -321,6 +327,37 @@ SLOW_BENCHES = {
 WALL_GATED = ("scale_2000", "scale_5000")
 MAX_WALL_RATIO = 2.35
 
+#: benches whose heartbeat report path is counted (``reports``,
+#: ``statuses``): the paper's two-job cell, a SWIM replay, the
+#: memory-admission cell and the 2000-tracker cell
+REPORT_COUNTED = ("two_job_suspend", "scale_baseline_50", "memscale_25",
+                  "scale_2000")
+#: counters compared exactly, where the baseline records them
+EXACT_COUNTERS = ("reports", "statuses")
+
+
+def count_reports(fn, scale: float) -> dict:
+    """Run the bench ``fn`` with ``TaskTracker.build_report`` wrapped
+    to count the reports it builds and the statuses they carry."""
+    from repro.hadoop.tasktracker import TaskTracker
+
+    build_report = TaskTracker.build_report
+    tally = {"reports": 0, "statuses": 0}
+
+    def counted(self, *args, **kwargs):
+        report = build_report(self, *args, **kwargs)
+        tally["reports"] += 1
+        tally["statuses"] += len(report.attempts)
+        return report
+
+    TaskTracker.build_report = counted
+    try:
+        counters = fn(scale)
+    finally:
+        TaskTracker.build_report = build_report
+    counters.update(tally)
+    return counters
+
 
 def run_benches(scale: float = 1.0, slow: bool = False) -> dict:
     results = {}
@@ -329,7 +366,10 @@ def run_benches(scale: float = 1.0, slow: bool = False) -> dict:
         benches.update(SLOW_BENCHES)
     for name, fn in benches.items():
         start = time.perf_counter()
-        counters = fn(scale)
+        if name in REPORT_COUNTED:
+            counters = count_reports(fn, scale)
+        else:
+            counters = fn(scale)
         counters["wall_s"] = round(time.perf_counter() - start, 4)
         results[name] = counters
         print(f"  {name:>20}: {counters['wall_s']:.3f}s "
@@ -370,6 +410,12 @@ def check(current: dict, baseline: dict, gate_walls: bool = False) -> tuple:
                 problems.append(
                     f"{name}: {counter} {cur[counter]} vs baseline "
                     f"{base[counter]} (> {COUNTER_TOLERANCE:.0%})"
+                )
+        for counter in EXACT_COUNTERS:
+            if counter in base and cur.get(counter) != base[counter]:
+                problems.append(
+                    f"{name}: {counter} {cur.get(counter)} != baseline "
+                    f"{base[counter]} (exact)"
                 )
         digest = base.get("sketch_digest")
         if digest is not None and cur.get("sketch_digest") != digest:
