@@ -304,32 +304,25 @@ class TaskTracker:
         reported_terminal = []
         for attempt in self._reportable.values():
             state = attempt.state
-            if not state.terminal:
-                # A live attempt has discarded nothing and was not
-                # OOM-killed (the JobTracker reads those two fields on
-                # FAILED/KILLED statuses only).
-                statuses.append(
-                    AttemptStatus(
-                        attempt.attempt_id,
-                        attempt.tip_id,
-                        attempt.job_id,
-                        state,
-                        attempt.progress(),
-                    )
-                )
-            elif attempt.attempt_id in self._unreported:
+            terminal = state.terminal
+            if terminal:
+                if attempt.attempt_id not in self._unreported:
+                    continue
                 reported_terminal.append(attempt.attempt_id)
-                statuses.append(
-                    AttemptStatus(
-                        attempt.attempt_id,
-                        attempt.tip_id,
-                        attempt.job_id,
-                        state,
-                        attempt.progress(),
-                        attempt.discarded_network_bytes(),
-                        attempt.oom_killed(),
-                    )
+            statuses.append(
+                AttemptStatus(
+                    attempt.attempt_id,
+                    attempt.tip_id,
+                    attempt.job_id,
+                    state,
+                    attempt.progress(),
+                    # A live attempt has discarded nothing and was not
+                    # OOM-killed (the JobTracker reads these two on
+                    # FAILED/KILLED statuses only).
+                    attempt.discarded_network_bytes() if terminal else 0,
+                    terminal and attempt.oom_killed(),
                 )
+            )
         for attempt_id in reported_terminal:
             self._unreported.remove(attempt_id)
             self._reportable.pop(attempt_id, None)
