@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import NoSuchProcessError
 from repro.osmodel.config import NodeConfig
 from repro.osmodel.disk import DiskDevice
-from repro.osmodel.process import ExitReason, OSProcess, ProcessState
+from repro.osmodel.process import ExitReason, OSProcess
 from repro.osmodel.resources import Claim, CpuResource
 from repro.osmodel.signals import Signal
 from repro.osmodel.vmm import MemoryHeadroom, VirtualMemoryManager
@@ -77,6 +77,9 @@ class NodeKernel:
         )
         #: pid -> process, live processes only (:meth:`reap` deletes)
         self._processes: Dict[int, OSProcess] = {}
+        #: pid -> process, the STOPPED subset of ``_processes`` (kept by
+        #: the stop/continue hooks and :meth:`reap`)
+        self._stopped: Dict[int, OSProcess] = {}
         self._next_pid = 1000
         self.signals_sent = 0
         #: processes reaped by the OOM killer (RAM + swap exhausted)
@@ -125,6 +128,7 @@ class NodeKernel:
         process table (called by the process)."""
         self.vmm.release_process(proc)
         del self._processes[proc.pid]
+        self._stopped.pop(proc.pid, None)
         self.trace(
             "os.exit",
             pid=proc.pid,
@@ -150,10 +154,12 @@ class NodeKernel:
 
     def note_process_stopped(self, proc: OSProcess) -> None:
         """Bookkeeping hook invoked when a process enters STOPPED."""
+        self._stopped[proc.pid] = proc
         self.trace("os.stopped", pid=proc.pid, name=proc.name)
 
     def note_process_resumed(self, proc: OSProcess) -> None:
         """Bookkeeping hook invoked when a process leaves STOPPED."""
+        del self._stopped[proc.pid]
         self.trace("os.resumed", pid=proc.pid, name=proc.name)
 
     # -- device speed ---------------------------------------------------------
@@ -249,13 +255,12 @@ class NodeKernel:
         return self.vmm.headroom()
 
     def suspended_bytes(self) -> int:
-        """Resident + swapped bytes of the stopped processes, in one
-        pass over the live table: the suspended total of Section
-        III-A's constraint, which every heartbeat reports."""
+        """Resident + swapped bytes of the stopped processes: the
+        suspended total of Section III-A's constraint, which every
+        heartbeat reports (a node that stops nothing sums nothing)."""
         total = 0
-        for proc in self._processes.values():
-            if proc.stopped:
-                total += proc.image.virtual
+        for proc in self._stopped.values():
+            total += proc.image.virtual
         return total
 
     def memory_summary(self) -> Dict[str, int]:
@@ -269,8 +274,8 @@ class NodeKernel:
         }
 
     def stopped_processes(self) -> List[OSProcess]:
-        """All processes currently in the STOPPED state."""
-        return [p for p in self.live_processes() if p.state is ProcessState.STOPPED]
+        """All processes currently in the STOPPED state, in pid order."""
+        return [self._stopped[pid] for pid in sorted(self._stopped)]
 
     def trace(self, label: str, **fields) -> None:
         """Record a trace event tagged with this node's hostname."""

@@ -48,6 +48,41 @@ class TestProcessTable:
         kernel.signal(a.pid, Signal.SIGSTOP)
         assert kernel.stopped_processes() == [a]
 
+    def test_stopped_table_matches_a_full_scan(self, kernel):
+        def scanned():
+            live = kernel.live_processes()
+            stopped = [p for p in live if p.stopped]
+            return stopped, sum(p.image.virtual for p in stopped)
+
+        def check():
+            stopped, total = scanned()
+            assert kernel.stopped_processes() == stopped
+            assert kernel.suspended_bytes() == total
+
+        procs = [kernel.spawn(f"p{i}") for i in range(5)]
+        for index, proc in enumerate(procs):
+            kernel.charge_allocation(proc, (index + 1) * 40 * MB)
+        check()
+        # Stop out of pid order: the answer stays in pid order.
+        for proc in (procs[3], procs[0], procs[2], procs[4]):
+            kernel.signal(proc.pid, Signal.SIGSTOP)
+            check()
+        kernel.signal(procs[0].pid, Signal.SIGCONT)
+        check()
+        kernel.signal(procs[0].pid, Signal.SIGCONT)  # not stopped: no-op
+        check()
+        kernel.signal(procs[3].pid, Signal.SIGKILL)  # killed while stopped
+        check()
+        kernel.oom_kill(procs[2], why="test")  # OOM-killed while stopped
+        check()
+        kernel.signal(procs[1].pid, Signal.SIGSTOP)
+        kernel.release_memory(procs[1], 16 * MB)  # images are read live
+        check()
+        assert kernel.stopped_processes() == [procs[1], procs[4]]
+        assert kernel.suspended_bytes() == (
+            procs[1].image.virtual + procs[4].image.virtual
+        )
+
     def test_reaped_process_leaves_table(self, kernel):
         a = kernel.spawn("a")
         b = kernel.spawn("b")
