@@ -61,9 +61,6 @@ class AdmissionConfig:
         clear; the scheduler retries later) and ``"kill"`` to any
         denial; the first applicable step wins and an exhausted ladder
         defaults to waiting.
-    max_suspended_per_node:
-        Cap on concurrently suspended tasks per node; ``None`` uses
-        the cluster's ``HadoopConfig.max_suspended_per_tracker``.
     suspended_budget_bytes:
         Hard cap on the *total* suspended bytes (resident + swapped,
         including in-flight suspensions) a node may hold.  The
@@ -78,7 +75,6 @@ class AdmissionConfig:
 
     reserve_bytes: int = 0
     fallback: Tuple[str, ...] = ("wait",)
-    max_suspended_per_node: Optional[int] = None
     suspended_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -92,11 +88,6 @@ class AdmissionConfig:
                     f"unknown fallback step {step!r}; "
                     f"known: {', '.join(FALLBACK_STEPS)}"
                 )
-        if (
-            self.max_suspended_per_node is not None
-            and self.max_suspended_per_node < 0
-        ):
-            raise ConfigurationError("max_suspended_per_node out of range")
         if (
             self.suspended_budget_bytes is not None
             and self.suspended_budget_bytes < 0
@@ -160,9 +151,7 @@ class SuspendAdmissionGate:
         if attempt is None:
             return self._deny("no-attempt", "no live attempt", permanent=True)
 
-        cap = self.config.max_suspended_per_node
-        if cap is None:
-            cap = tracker.config.max_suspended_per_tracker
+        cap = tracker.config.max_suspended_per_tracker
         # Same count semantics as the primitive's static check (landed
         # stops only): in-flight suspensions are accounted by *bytes*
         # below, where they actually matter.

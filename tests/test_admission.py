@@ -33,14 +33,14 @@ from tests.conftest import fast_hadoop_config, small_node_config
 
 
 def _cluster_with_running_task(
-    footprint=256 * MB, swap_bytes=2 * GB, name="victim"
+    footprint=256 * MB, swap_bytes=2 * GB, name="victim", **hadoop
 ) -> HadoopCluster:
     """A one-node cluster whose single task is mid-flight with its
-    footprint resident."""
+    footprint resident (``hadoop`` overrides its Hadoop config)."""
     cluster = HadoopCluster(
         num_nodes=1,
         node_config=small_node_config(swap_bytes=swap_bytes),
-        hadoop_config=fast_hadoop_config(),
+        hadoop_config=fast_hadoop_config(**hadoop),
         seed=5,
         trace=True,
     )
@@ -79,8 +79,6 @@ class TestAdmissionConfig:
             AdmissionConfig(fallback=())
         with pytest.raises(ConfigurationError):
             AdmissionConfig(fallback=("suspend",))
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(max_suspended_per_node=-2)
         AdmissionConfig(fallback=("wait", "kill"))  # legal ladder
 
 
@@ -113,10 +111,8 @@ class TestGateDecisions:
         assert "no-headroom" in gate.stats.deny_reasons
 
     def test_count_cap_denies(self):
-        cluster = _cluster_with_running_task()
-        gate = SuspendAdmissionGate(
-            cluster, AdmissionConfig(max_suspended_per_node=0)
-        )
+        cluster = _cluster_with_running_task(max_suspended_per_tracker=0)
+        gate = SuspendAdmissionGate(cluster, AdmissionConfig())
         decision = gate.evaluate(_tip_of(cluster, "victim"))
         assert not decision.admitted
         assert "count-cap" in gate.stats.deny_reasons
