@@ -93,10 +93,6 @@ class JobTracker:
         #: requeued; maintained through the TIPs' tracker observers so
         #: heartbeat handling is O(tips on that host), not O(all tips)
         self._tips_by_tracker: Dict[str, Dict[str, TaskInProgress]] = {}
-        #: submission-ordered index of not-yet-terminal jobs; pruned
-        #: lazily by :meth:`running_jobs` so the per-heartbeat job scans
-        #: shrink as the workload drains instead of growing forever
-        self._live_jobs: Dict[str, JobInProgress] = {}
         self._descriptors: Dict[str, AttemptDescriptor] = {}
         self._job_counter = itertools.count(1)
         self._completion_callbacks: List[Callable[[JobInProgress], None]] = []
@@ -158,7 +154,6 @@ class JobTracker:
             run_setup_cleanup=self.config.run_job_setup_cleanup,
         )
         self.jobs[job_id] = job
-        self._live_jobs[job_id] = job
         self.job_index.add(job)
         job.observer = self.job_index.note
         for tip in job.all_tips():
@@ -930,24 +925,11 @@ class JobTracker:
     # -- introspection -------------------------------------------------------------------------------
 
     def running_jobs(self) -> List[JobInProgress]:
-        """Jobs not yet terminal, submission order.
-
-        Backed by the live-jobs index: entries that turned terminal
-        since the last call are evicted here, so repeated calls cost
-        O(live jobs) however many jobs the tracker has ever seen.
-        """
-        # ``finish_time`` is stamped by exactly the transitions that
-        # make a job terminal, and the attribute test is far cheaper
-        # than enum membership for the callers that scan every live
-        # job per walk (the non-HFSP schedulers and the speculator).
-        finished = [
-            job_id
-            for job_id, job in self._live_jobs.items()
-            if job.finish_time is not None
-        ]
-        for job_id in finished:
-            del self._live_jobs[job_id]
-        return list(self._live_jobs.values())
+        """Jobs not yet terminal, submission order: the live-job
+        index's membership, so a call costs O(live jobs) however many
+        jobs the tracker has ever seen."""
+        jobs = self.jobs
+        return [jobs[job_id] for job_id in self.job_index.job_pos]
 
     def trace(self, label: str, **fields) -> None:
         """Record a JobTracker trace event."""
