@@ -86,7 +86,7 @@ def bench_two_job_simulation(benchmark):
     """One full light-weight microbenchmark run (the unit of Figure 2)."""
 
     def run():
-        harness = TwoJobHarness("suspend", 0.5, runs=1)
+        harness = TwoJobHarness("suspend", 0.5)
         return harness.run_once(seed=99)
 
     result = benchmark(run)
@@ -97,7 +97,7 @@ def bench_heavy_two_job_simulation(benchmark):
     """One worst-case run with 2 GB footprints (the unit of Figure 3)."""
 
     def run():
-        harness = TwoJobHarness("suspend", 0.5, heavy=True, runs=1)
+        harness = TwoJobHarness("suspend", 0.5, heavy=True)
         return harness.run_once(seed=99)
 
     result = benchmark(run)

@@ -17,11 +17,15 @@ Michiardi, *OS-Assisted Task Preemption for Hadoop* (ICDCS 2014):
 
 Quickstart::
 
-    from repro.experiments import TwoJobHarness
+    from repro.experiments import TwoJobHarness, sweep_grid
 
-    harness = TwoJobHarness(primitive="suspend", progress_at_launch=0.5)
-    result = harness.run()
-    print(result.sojourn_th, result.makespan)
+    # one seeded run of the Section IV-A microbenchmark
+    run = TwoJobHarness(primitive="suspend", progress_at_launch=0.5).run_once(7)
+    print(run.sojourn_th, run.makespan)
+
+    # the paper's 20 repetitions of that point, as one cell sweep
+    [point] = sweep_grid([dict(primitive="suspend", progress_at_launch=0.5)])
+    print(point.sojourn_th.mean, point.makespan.mean)
 """
 
 from repro.errors import ReproError

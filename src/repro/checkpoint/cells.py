@@ -70,7 +70,7 @@ def build_cell(kind: str, seed: Optional[int] = None) -> Tuple[Any, Dict]:
     if kind == "fig2":
         from repro.experiments.harness import TwoJobHarness
 
-        harness = TwoJobHarness("suspend", 0.5, runs=1, keep_traces=True)
+        harness = TwoJobHarness("suspend", 0.5, keep_traces=True)
         return harness.build_cluster(seed), {"kind": kind, "seed": seed}
     params = {**defaults["coords"], "num_jobs": defaults["num_jobs"],
               "seed": seed, "trace": True}

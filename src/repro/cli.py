@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=None,
                      help="averaged runs per data point")
     run.add_argument("--seed", type=int, default=None,
-                     help="base seed (experiments that accept one)")
+                     help="base seed of the experiment's repetitions")
     run.add_argument("--quick", action="store_true",
                      help="scaled-down axes and 2 runs per point")
     run.add_argument("--workers", type=int, default=1,
@@ -280,32 +280,10 @@ def _resolve_workers(requested: int) -> int:
     return requested
 
 
-#: `repro run` flags that only a cell sweep reads, besides --workers
-_SWEEP_FLAGS = ("checkpoint_dir", "max_retries", "cell_timeout",
-                "snapshot_every", "chaos", "serve")
-
-
-def _takes_sweep(name: str, runner, args) -> bool:
-    """Does the experiment run a cell sweep (its runner takes
-    ``sweep``)?  If not, warn about each sweep flag the command gave."""
-    import inspect
-
-    if "sweep" in inspect.signature(runner.resolve()).parameters:
-        return True
-    flags = vars(args)
-    ignored = ["--workers"] if _resolve_workers(args.workers) > 1 else []
-    ignored += ["--" + key.replace("_", "-") for key in _SWEEP_FLAGS
-                if flags.get(key) is not None]
-    for flag in ignored:
-        print(f"warning: {name} runs no cell sweep; ignoring {flag}",
-              file=sys.stderr)
-    return False
-
-
 def _sweep_options(args):
     """The command's one :class:`~repro.experiments.runner.SweepOptions`,
     built from its flags (``reproduce`` has only --workers and --quiet)
-    and passed to every experiment that runs a cell sweep."""
+    and passed to every experiment it runs."""
     from repro.experiments.runner import SweepOptions
 
     flags = vars(args)
@@ -348,32 +326,24 @@ def _sweep_options(args):
     )
 
 
-def _cmd_run(args) -> int:
-    import inspect
-
-    name = resolve_name(args.experiment)
-    runner = get_experiment(name)
+def _runner_kwargs(name: str, args, sweep) -> dict:
+    """One runner's arguments from the command's flags: the --quick
+    axes, --runs (fig1 has no repetitions), --seed and the sweep."""
     kwargs = _quick_kwargs(name) if args.quick else {}
-    if args.runs is not None:
+    if args.runs is not None and name != "fig1":
         kwargs["runs"] = args.runs
-    sweep = None
-    if _takes_sweep(name, runner, args):
-        sweep = kwargs["sweep"] = _sweep_options(args)
-    if args.seed is not None:
-        # Experiments name their seed knob base_seed or seed; pick the
-        # one the real runner's signature declares.
-        accepted = set(inspect.signature(runner.resolve()).parameters)
-        for knob in ("base_seed", "seed"):
-            if knob in accepted:
-                kwargs[knob] = args.seed
-                break
-        else:
-            print(
-                f"warning: {name} takes no seed; ignoring --seed",
-                file=sys.stderr,
-            )
+    if getattr(args, "seed", None) is not None:
+        kwargs["base_seed"] = args.seed
+    kwargs["sweep"] = sweep
+    return kwargs
+
+
+def _cmd_run(args) -> int:
+    name = resolve_name(args.experiment)
+    sweep = _sweep_options(args)
+    kwargs = _runner_kwargs(name, args, sweep)
     server = None
-    if sweep is not None and sweep.ledger_path is not None:
+    if sweep.ledger_path is not None:
         from repro.obs.server import ObsServer
 
         server = ObsServer(sweep.ledger_path, port=args.serve).start()
@@ -384,7 +354,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
     try:
-        report = runner(**kwargs)
+        report = get_experiment(name)(**kwargs)
     finally:
         if server is not None:
             server.stop()
@@ -420,15 +390,7 @@ def _cmd_reproduce(args) -> int:
     exit_code = 0
     for raw_name in names:
         name = resolve_name(raw_name)
-        runner = get_experiment(name)
-        kwargs = _quick_kwargs(name) if args.quick else {}
-        if args.runs is not None:
-            kwargs["runs"] = args.runs
-        if name == "fig1":
-            kwargs.pop("runs", None)
-        if _takes_sweep(name, runner, args):
-            kwargs["sweep"] = sweep
-        report = runner(**kwargs)
+        report = get_experiment(name)(**_runner_kwargs(name, args, sweep))
         _emit_report(report, args.out, plots=not args.no_plots)
     return exit_code
 
@@ -491,13 +453,11 @@ def _cmd_profile(args) -> int:
             print()
         return 0
 
+    from repro.experiments.runner import SweepOptions
+
     name = resolve_name(args.experiment)
     runner = get_experiment(name)
-    kwargs = _quick_kwargs(name) if args.quick else {}
-    if args.runs is not None:
-        kwargs["runs"] = args.runs
-    if name == "fig1":
-        kwargs.pop("runs", None)
+    kwargs = _runner_kwargs(name, args, SweepOptions())
     profiler = cProfile.Profile()
     profiler.enable()
     runner(**kwargs)
@@ -511,21 +471,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    from repro.experiments.harness import TwoJobHarness
-    from repro.metrics.timeline import extract_timeline, render_gantt
+    from repro.experiments.fig1_schedules import schedule_cell
+    from repro.metrics.timeline import render_gantt
 
-    harness = TwoJobHarness(
-        primitive=args.primitive,
-        progress_at_launch=args.progress / 100.0,
-        heavy=args.heavy,
-        runs=1,
-        keep_traces=True,
+    segments, result = schedule_cell(
+        args.primitive, args.progress / 100.0, seed=500, heavy=args.heavy
     )
-    result = harness.run_once(seed=500)
-    segments = [
-        s for s in extract_timeline(result.trace_cluster.sim.trace_log)
-        if "_m_" in s.task
-    ]
     print(render_gantt(segments))
     print(
         f"th sojourn {result.sojourn_th:.1f}s, makespan {result.makespan:.1f}s, "

@@ -13,12 +13,15 @@ E7         HFSP + suspend preliminary result     :mod:`repro.experiments.hfsp_st
 ========== ===================================== =============================
 
 All experiments build on :class:`~repro.experiments.harness.TwoJobHarness`
-(the paper's Section IV-A microbenchmark) or on the multi-job cluster
-builders, with calibration constants in
-:mod:`repro.experiments.params`.
+(the paper's Section IV-A microbenchmark, one seed per run) or on the
+multi-job cluster builders, with calibration constants in
+:mod:`repro.experiments.params`.  Every experiment runs its grid of
+seeded repetitions the same way: as one list of cells through its
+``sweep`` (:class:`~repro.experiments.runner.SweepOptions`), two-job
+grids through :func:`~repro.experiments.harness.sweep_grid`.
 """
 
-from repro.experiments.harness import TwoJobHarness, TwoJobResult
+from repro.experiments.harness import TwoJobHarness, TwoJobResult, sweep_grid
 from repro.experiments.params import (
     PAPER_PROGRESS_POINTS,
     paper_hadoop_config,
@@ -29,6 +32,7 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experim
 __all__ = [
     "TwoJobHarness",
     "TwoJobResult",
+    "sweep_grid",
     "paper_node_config",
     "paper_hadoop_config",
     "PAPER_PROGRESS_POINTS",

@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.metrics.series import Series
 from repro.preemption.costs import PreemptionAdvisor
 
@@ -32,6 +33,7 @@ def run_adaptive_study(
     progress_points: Optional[List[float]] = None,
     latency_weight: float = 1.0,
     base_seed: int = 9000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Measure each primitive across r; compare with the advisor."""
     points = progress_points or [0.02, 0.25, 0.5, 0.75, 0.98]
@@ -39,18 +41,21 @@ def run_adaptive_study(
     task_duration = P.INPUT_BYTES / P.PARSE_RATE
 
     per_primitive: Dict[str, List[float]] = {"wait": [], "kill": [], "suspend": []}
+    results = iter(sweep_grid(
+        [
+            dict(primitive=primitive, progress_at_launch=r)
+            for r in points
+            for primitive in per_primitive
+        ],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    ))
     advisor_picks: List[str] = []
     advisor_costs: List[float] = []
     best_costs: List[float] = []
     for r in points:
         costs: Dict[str, float] = {}
-        for primitive in ("wait", "kill", "suspend"):
-            result = TwoJobHarness(
-                primitive=primitive,
-                progress_at_launch=r,
-                runs=runs,
-                base_seed=base_seed,
-            ).run()
+        for primitive in per_primitive:
+            result = next(results)
             costs[primitive] = combined_cost(
                 result.sojourn_th.mean, result.makespan.mean, latency_weight
             )

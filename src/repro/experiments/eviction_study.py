@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from repro.errors import NotPreemptibleError
 from repro.experiments import params as P
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import Cell, SweepOptions
 from repro.hadoop.cluster import HadoopCluster
 from repro.metrics.series import Series
 from repro.metrics.stats import summarize
@@ -137,8 +138,10 @@ def run_eviction_study(
     arrival: float = 30.0,
     base_seed: int = 5000,
     policies: Optional[List[str]] = None,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
-    """Compare eviction policies under the suspend primitive."""
+    """Compare eviction policies under the suspend primitive; the
+    (policy x repetition) grid runs as one ``sweep``."""
     chosen = policies or [
         "closest-to-completion",
         "furthest-from-completion",
@@ -149,11 +152,15 @@ def run_eviction_study(
     metrics: Dict[str, Dict[str, List[float]]] = {
         p: {"sojourn": [], "makespan": [], "swapped_mb": []} for p in chosen
     }
-    for policy_name in chosen:
-        for i in range(runs):
-            out = _run_once(policy_name, base_seed + i, arrival)
-            for key, value in out.items():
-                metrics[policy_name][key].append(value)
+    cells = [
+        Cell.make("repro.experiments.eviction_study", "_run_once",
+                  policy_name=policy_name, seed=base_seed + i, arrival=arrival)
+        for policy_name in chosen
+        for i in range(runs)
+    ]
+    for index, out in enumerate(sweep.run(cells)):
+        for key, value in out.items():
+            metrics[chosen[index // runs]][key].append(value)
 
     series = Series(
         name="eviction-policies",

@@ -9,12 +9,14 @@ drawn by hand.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
-from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import SingleRunResult, TwoJobHarness
 from repro.experiments.report import ExperimentReport
-from repro.metrics.timeline import extract_timeline, render_gantt
+from repro.experiments.runner import Cell, SweepOptions
+from repro.metrics.timeline import TimelineSegment, extract_timeline, render_gantt
+
+PRIMITIVES = ("wait", "kill", "suspend")
 
 
 def _short_name(attempt_id: str) -> str:
@@ -26,10 +28,35 @@ def _short_name(attempt_id: str) -> str:
     return attempt_id
 
 
+def schedule_cell(
+    primitive: str, progress_at_launch: float, seed: int, heavy: bool = False
+) -> Tuple[List[TimelineSegment], SingleRunResult]:
+    """One traced two-job run: the work attempts' schedule segments
+    (setup/cleanup skipped) and the run's metrics."""
+    result = TwoJobHarness(
+        primitive=primitive,
+        progress_at_launch=progress_at_launch,
+        heavy=heavy,
+        keep_traces=True,
+    ).run_once(seed)
+    segments = [
+        s
+        for s in extract_timeline(result.trace_cluster.sim.trace_log)
+        if "_m_" in s.task
+    ]
+    # The cluster stays here: a worker returns plain values.
+    result.trace_cluster = None
+    return segments, result
+
+
 def run_fig1(
-    progress_at_launch: float = 0.5, base_seed: int = 500, **_ignored
+    progress_at_launch: float = 0.5,
+    base_seed: int = 500,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
-    """Render the execution schedule of each primitive at r=50%."""
+    """Render the execution schedule of each primitive at r=50%.
+
+    One cell per primitive, all through one ``sweep``."""
     report = ExperimentReport(
         experiment_id="fig1",
         title="task execution schedules (wait / kill / suspend)",
@@ -39,26 +66,21 @@ def run_fig1(
             "stopped"
         ),
     )
-    charts: Dict[str, str] = {}
-    for primitive in ("wait", "kill", "suspend"):
-        harness = TwoJobHarness(
+    cells = [
+        Cell.make(
+            "repro.experiments.fig1_schedules",
+            "schedule_cell",
             primitive=primitive,
             progress_at_launch=progress_at_launch,
-            runs=1,
-            base_seed=base_seed,
-            keep_traces=True,
+            seed=base_seed,
         )
-        result = harness.run_once(base_seed)
-        cluster = result.trace_cluster
-        segments = [
-            s
-            for s in extract_timeline(cluster.sim.trace_log)
-            if "_m_" in s.task  # work attempts only (skip setup/cleanup)
-        ]
+        for primitive in PRIMITIVES
+    ]
+    charts: Dict[str, str] = {}
+    for primitive, (segments, result) in zip(PRIMITIVES, sweep.run(cells)):
         for segment in segments:
             segment.task = _short_name(segment.task)
-        chart = render_gantt(segments)
-        charts[primitive] = chart
+        charts[primitive] = render_gantt(segments)
         report.add_note(
             f"[{primitive}] th sojourn {result.sojourn_th:.1f}s, "
             f"makespan {result.makespan:.1f}s"

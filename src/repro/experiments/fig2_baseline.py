@@ -62,18 +62,14 @@ def run_fig2(
     ``sweep``; results are identical for any of its options.
     """
     points = progress_points or P.PAPER_PROGRESS_POINTS
-    # One flat cell grid for every worker count: with one worker the
-    # cells run serially in-process, so there is a single data path to
-    # keep correct (the determinism suite pins it against the
-    # per-primitive sweep_progress helper).
-    results = sweep_grid(
-        PRIMITIVES,
-        progress_points=points,
-        heavy=heavy,
-        runs=runs,
-        base_seed=base_seed,
-        sweep=sweep,
-    )
+    flat = iter(sweep_grid(
+        [dict(primitive=prim, progress_at_launch=r, heavy=heavy)
+         for prim in PRIMITIVES for r in points],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    ))
+    results: Dict[str, Dict[float, TwoJobResult]] = {
+        prim: {r: next(flat) for r in points} for prim in PRIMITIVES
+    }
     figure = "fig3" if heavy else "fig2"
     title = (
         "worst-case experiments (memory-hungry tasks)"

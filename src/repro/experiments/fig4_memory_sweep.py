@@ -16,8 +16,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.metrics.series import Series
 from repro.units import MB
 
@@ -28,25 +29,26 @@ def run_fig4(
     tl_footprint: int = P.FIG4_TL_FOOTPRINT,
     progress_at_launch: float = 0.5,
     base_seed: int = 3000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Regenerate Figure 4: swap volume and overheads vs th's memory."""
     points = memory_points if memory_points is not None else P.PAPER_MEMORY_POINTS
+    results = sweep_grid(
+        [
+            dict(primitive=primitive, progress_at_launch=progress_at_launch,
+                 heavy=True, tl_footprint=tl_footprint,
+                 th_footprint=th_footprint)
+            for th_footprint in points
+            for primitive in ("suspend", "kill", "wait")
+        ],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    )
 
     paged_mb: List[float] = []
     sojourn_overhead: List[float] = []
     makespan_overhead: List[float] = []
-    for th_footprint in points:
-        shared = dict(
-            progress_at_launch=progress_at_launch,
-            heavy=True,
-            tl_footprint=tl_footprint,
-            th_footprint=th_footprint,
-            runs=runs,
-            base_seed=base_seed,
-        )
-        suspend = TwoJobHarness(primitive="suspend", **shared).run()
-        kill = TwoJobHarness(primitive="kill", **shared).run()
-        wait = TwoJobHarness(primitive="wait", **shared).run()
+    for index in range(len(points)):
+        suspend, kill, wait = results[3 * index:3 * (index + 1)]
         paged_mb.append(suspend.tl_paged_bytes.mean / MB)
         sojourn_overhead.append(suspend.sojourn_th.mean - kill.sojourn_th.mean)
         makespan_overhead.append(suspend.makespan.mean - wait.makespan.mean)

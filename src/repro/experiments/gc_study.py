@@ -16,11 +16,10 @@ paged bytes and lower overheads.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.hadoop.jvm import GcPolicy
 from repro.metrics.series import Series
 from repro.units import MB
@@ -31,26 +30,23 @@ def run_gc_study(
     heap_slack: float = 0.25,
     progress_at_launch: float = 0.5,
     base_seed: int = 8000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Heavy two-job benchmark under both collector behaviours."""
-    paged: List[float] = []
-    makespans: List[float] = []
-    labels: List[str] = []
-    for policy, slack in ((GcPolicy.HOARD, heap_slack), (GcPolicy.RELEASE, 0.0)):
-        hadoop_config = P.paper_hadoop_config().replace(jvm_heap_slack=slack)
-        harness = TwoJobHarness(
-            primitive="suspend",
-            progress_at_launch=progress_at_launch,
-            heavy=True,
-            runs=runs,
-            base_seed=base_seed,
-            hadoop_config=hadoop_config,
-        )
-        harness.gc_policy = policy
-        result = harness.run()
-        paged.append(result.tl_paged_bytes.mean / MB)
-        makespans.append(result.makespan.mean)
-        labels.append(policy.value)
+    collectors = ((GcPolicy.HOARD, heap_slack), (GcPolicy.RELEASE, 0.0))
+    results = sweep_grid(
+        [
+            dict(primitive="suspend", progress_at_launch=progress_at_launch,
+                 heavy=True, gc_policy=policy,
+                 hadoop_config=P.paper_hadoop_config().replace(
+                     jvm_heap_slack=slack))
+            for policy, slack in collectors
+        ],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    )
+    paged = [result.tl_paged_bytes.mean / MB for result in results]
+    makespans = [result.makespan.mean for result in results]
+    labels = [policy.value for policy, _ in collectors]
 
     series = Series(
         name="gc-study",

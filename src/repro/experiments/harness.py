@@ -6,19 +6,21 @@ One :class:`TwoJobHarness` run reproduces one data point of Figures
 ``tl`` is preempted with the chosen primitive (or not, for ``wait``);
 when ``th`` completes, ``tl`` is restored.  The harness measures the
 sojourn time of ``th``, the makespan, and the bytes ``tl`` paged to
-swap, averaging over seeded repetitions exactly as the paper averages
-20 runs.
+swap for one seed; :func:`sweep_grid` runs the seeded repetitions of
+a list of such points as one cell sweep and averages them, exactly as
+the paper averages 20 runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import params as P
 from repro.experiments.runner import Cell, SweepOptions
 from repro.hadoop.cluster import HadoopCluster
+from repro.hadoop.jvm import GcPolicy
 from repro.metrics.stats import RunStats, summarize
 from repro.preemption.base import make_primitive
 from repro.schedulers.dummy import DummyScheduler
@@ -40,7 +42,7 @@ class SingleRunResult:
 
 @dataclass
 class TwoJobResult:
-    """Aggregated metrics over the harness's repetitions."""
+    """Aggregated metrics over one grid point's seeded repetitions."""
 
     primitive: str
     progress_at_launch: float
@@ -141,7 +143,8 @@ def measure_two_job(
 
 
 class TwoJobHarness:
-    """Builds, runs and measures the two-job microbenchmark."""
+    """Builds, runs and measures one seed of the two-job
+    microbenchmark."""
 
     def __init__(
         self,
@@ -150,29 +153,26 @@ class TwoJobHarness:
         heavy: bool = False,
         tl_footprint: int = P.FIG3_FOOTPRINT,
         th_footprint: int = P.FIG3_FOOTPRINT,
-        runs: int = P.PAPER_RUNS,
-        base_seed: int = 1000,
         keep_traces: bool = False,
         node_config=None,
         hadoop_config=None,
+        gc_policy: GcPolicy = GcPolicy.HOARD,
         admission=None,
         collector=None,
         profile: bool = False,
     ):
         if not 0.0 < progress_at_launch < 1.0:
             raise ConfigurationError("progress_at_launch must be in (0, 1)")
-        if runs < 1:
-            raise ConfigurationError("need at least one run")
         self.primitive_name = primitive
         self.progress_at_launch = progress_at_launch
         self.heavy = heavy
         self.tl_footprint = tl_footprint
         self.th_footprint = th_footprint
-        self.runs = runs
-        self.base_seed = base_seed
         self.keep_traces = keep_traces
         self.node_config = node_config
         self.hadoop_config = hadoop_config
+        #: the JVMs' collector (the GC ablation, experiments.gc_study)
+        self.gc_policy = gc_policy
         #: optional AdmissionConfig routing suspend requests through
         #: the swap-aware admission gate (fig2's gated variant)
         self.admission = admission
@@ -183,12 +183,6 @@ class TwoJobHarness:
         #: when true, each run's engine attributes fired events to
         #: their labels (repro profile --engine / bench_guard)
         self.profile = profile
-        # Overridable for the GC ablation (see experiments.gc_study).
-        from repro.hadoop.jvm import GcPolicy
-
-        self.gc_policy = GcPolicy.HOARD
-
-    # -- single run ---------------------------------------------------------------
 
     def run_once(self, seed: int) -> SingleRunResult:
         """One simulated run with one seed."""
@@ -241,8 +235,6 @@ class TwoJobHarness:
         """Extract the run's metrics from a finished cluster."""
         return measure_two_job(cluster, keep_trace=self.keep_traces)
 
-    # -- aggregation ---------------------------------------------------------------------
-
     def _cell_params(self) -> dict:
         """Constructor arguments a worker needs to rebuild this harness
         (minus seed plumbing; traces cannot cross process boundaries)."""
@@ -256,15 +248,6 @@ class TwoJobHarness:
             hadoop_config=self.hadoop_config,
             gc_policy_name=self.gc_policy.name,
             admission=self.admission,
-        )
-
-    def run(self) -> TwoJobResult:
-        """Average the configured number of seeded repetitions,
-        serially in this process (:func:`sweep_grid` shards a grid of
-        them over workers)."""
-        results = [self.run_once(self.base_seed + i) for i in range(self.runs)]
-        return TwoJobResult.of(
-            self.primitive_name, self.progress_at_launch, results
         )
 
 
@@ -281,85 +264,52 @@ def _harness_cell(
     admission=None,
 ) -> SingleRunResult:
     """One repetition, rebuilt from plain arguments in a worker."""
-    from repro.hadoop.jvm import GcPolicy
-
     harness = TwoJobHarness(
         primitive=primitive,
         progress_at_launch=progress_at_launch,
         heavy=heavy,
         tl_footprint=tl_footprint,
         th_footprint=th_footprint,
-        runs=1,
-        base_seed=seed,
         node_config=node_config,
         hadoop_config=hadoop_config,
+        gc_policy=GcPolicy[gc_policy_name],
         admission=admission,
     )
-    harness.gc_policy = GcPolicy[gc_policy_name]
     return harness.run_once(seed)
 
 
 def sweep_grid(
-    primitives,
-    progress_points: List[float],
-    heavy: bool = False,
+    points: List[dict],
     runs: int = P.PAPER_RUNS,
     base_seed: int = 1000,
     sweep: SweepOptions = SweepOptions(),
-) -> Dict[str, Dict[float, TwoJobResult]]:
-    """The whole (primitive x progress x repetition) microbenchmark
-    grid as ONE flat cell list through ONE sweep.
+) -> List[TwoJobResult]:
+    """Every seeded repetition of every grid point as ONE flat cell
+    list through ONE sweep; one :class:`TwoJobResult` per point.
 
-    Numerically identical to per-primitive :func:`sweep_progress` calls
-    (each cell is the same pure function of its seed), but the pool is
-    created once and late points of one primitive overlap with early
-    points of the next instead of pausing at every axis boundary.
+    Each point is a dict of :class:`TwoJobHarness` arguments, and its
+    repetitions use seeds ``base_seed + i``.  Each cell is the same
+    pure function of its arguments, so the results are identical for
+    any sweep option; with one worker the cells run serially
+    in-process.
     """
-    coords = [(prim, r) for prim in primitives for r in progress_points]
-    cells: List[Cell] = []
-    for prim, r in coords:
-        params = TwoJobHarness(
-            primitive=prim,
-            progress_at_launch=r,
-            heavy=heavy,
-            runs=runs,
-            base_seed=base_seed,
-        )._cell_params()
-        for i in range(runs):
-            cells.append(
-                Cell.make(
-                    "repro.experiments.harness",
-                    "_harness_cell",
-                    seed=base_seed + i,
-                    **params,
-                )
-            )
+    if runs < 1:
+        raise ConfigurationError("need at least one run")
+    grid = [TwoJobHarness(**point)._cell_params() for point in points]
+    cells = [
+        Cell.make(
+            "repro.experiments.harness", "_harness_cell",
+            seed=base_seed + i, **params,
+        )
+        for params in grid
+        for i in range(runs)
+    ]
     flat = sweep.run(cells)
-    out: Dict[str, Dict[float, TwoJobResult]] = {prim: {} for prim in primitives}
-    for index, (prim, r) in enumerate(coords):
-        out[prim][r] = TwoJobResult.of(
-            prim, r, flat[index * runs:(index + 1) * runs]
+    return [
+        TwoJobResult.of(
+            params["primitive"],
+            params["progress_at_launch"],
+            flat[index * runs:(index + 1) * runs],
         )
-    return out
-
-
-def sweep_progress(
-    primitive: str,
-    progress_points: Optional[List[float]] = None,
-    heavy: bool = False,
-    runs: int = P.PAPER_RUNS,
-    base_seed: int = 1000,
-) -> Dict[float, TwoJobResult]:
-    """Run the harness across the paper's r-axis for one primitive."""
-    points = progress_points or P.PAPER_PROGRESS_POINTS
-    out: Dict[float, TwoJobResult] = {}
-    for r in points:
-        harness = TwoJobHarness(
-            primitive=primitive,
-            progress_at_launch=r,
-            heavy=heavy,
-            runs=runs,
-            base_seed=base_seed,
-        )
-        out[r] = harness.run()
-    return out
+        for index, params in enumerate(grid)
+    ]

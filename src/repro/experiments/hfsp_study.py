@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments import params as P
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import Cell, SweepOptions
 from repro.hadoop.cluster import HadoopCluster
 from repro.metrics.series import Series
 from repro.metrics.stats import summarize
@@ -107,19 +108,26 @@ def run_hfsp_study(
     runs: int = 5,
     arrivals: Optional[List[float]] = None,
     base_seed: int = 6000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
-    """Compare primitives inside the HFSP size-based scheduler."""
+    """Compare primitives inside the HFSP size-based scheduler; the
+    (primitive x repetition) grid runs as one ``sweep``."""
     arrival_times = arrivals or [20.0, 45.0]
     primitives = ["wait", "kill", "suspend"]
     metrics: Dict[str, Dict[str, List[float]]] = {
         p: {"short_sojourn": [], "long_sojourn": [], "makespan": []}
         for p in primitives
     }
-    for primitive in primitives:
-        for i in range(runs):
-            out = _run_once(primitive, base_seed + i, arrival_times)
-            for key, value in out.items():
-                metrics[primitive][key].append(value)
+    cells = [
+        Cell.make("repro.experiments.hfsp_study", "_run_once",
+                  primitive_name=primitive, seed=base_seed + i,
+                  arrivals=arrival_times)
+        for primitive in primitives
+        for i in range(runs)
+    ]
+    for index, out in enumerate(sweep.run(cells)):
+        for key, value in out.items():
+            metrics[primitives[index // runs]][key].append(value)
 
     series = Series(
         name="hfsp-primitives",

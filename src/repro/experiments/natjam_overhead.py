@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.metrics.series import Series
 
 
@@ -24,19 +25,25 @@ def run_natjam_overhead(
     runs: int = P.PAPER_RUNS,
     progress_points: Optional[List[float]] = None,
     base_seed: int = 4000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Makespan overhead of checkpointing vs OS-assisted suspension."""
     points = progress_points or [0.25, 0.5, 0.75]
+    results = sweep_grid(
+        [
+            dict(primitive=primitive, progress_at_launch=r)
+            for r in points
+            for primitive in ("wait", "suspend", "natjam")
+        ],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    )
 
     overhead_natjam: List[float] = []
     overhead_suspend: List[float] = []
     sojourn_natjam: List[float] = []
     sojourn_suspend: List[float] = []
-    for r in points:
-        shared = dict(progress_at_launch=r, runs=runs, base_seed=base_seed)
-        wait = TwoJobHarness(primitive="wait", **shared).run()
-        susp = TwoJobHarness(primitive="suspend", **shared).run()
-        natjam = TwoJobHarness(primitive="natjam", **shared).run()
+    for index in range(len(points)):
+        wait, susp, natjam = results[3 * index:3 * (index + 1)]
         overhead_suspend.append(
             100.0 * (susp.makespan.mean - wait.makespan.mean) / wait.makespan.mean
         )

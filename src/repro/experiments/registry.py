@@ -1,12 +1,12 @@
 """Registry mapping experiment ids to their runner functions.
 
-Each runner takes keyword arguments (``runs``, ``seed``, scaled-down
-axes for quick checks) and returns a report object with a
-``render()`` method; the CLI and the benchmark suite both go through
-this table.  Runners are held as :class:`LazyRunner` proxies so the
-experiment modules import only when actually executed, while callers
-(the CLI's ``--seed`` plumbing) can still inspect the real signature
-via :meth:`LazyRunner.resolve`.
+Each runner takes keyword arguments (``runs`` except fig1,
+``base_seed``, ``sweep``, scaled-down axes for quick checks) and
+returns a report object with a ``render()`` method; the CLI and the
+benchmark suite both go through this table.  Runners are held as
+:class:`LazyRunner` proxies so the experiment modules import only when
+actually executed; :meth:`LazyRunner.resolve` returns the real
+function.
 """
 
 from __future__ import annotations

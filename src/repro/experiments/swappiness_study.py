@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.experiments import params as P
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import sweep_grid
 from repro.experiments.report import ExperimentReport
+from repro.experiments.runner import SweepOptions
 from repro.metrics.series import Series
 from repro.units import MB
 
@@ -24,6 +25,7 @@ def run_swappiness_study(
     swappiness_values: Optional[List[int]] = None,
     progress_at_launch: float = 0.5,
     base_seed: int = 7000,
+    sweep: SweepOptions = SweepOptions(),
 ) -> ExperimentReport:
     """Two-job benchmark swept over the swappiness knob.
 
@@ -35,25 +37,20 @@ def run_swappiness_study(
     avoids.
     """
     values = swappiness_values or [0, 30, 60, 90]
-    paged: List[float] = []
-    makespans: List[float] = []
-    sojourns: List[float] = []
-    for swappiness in values:
-        node_config = P.paper_node_config().replace(swappiness=swappiness)
-        harness = TwoJobHarness(
-            primitive="suspend",
-            progress_at_launch=progress_at_launch,
-            heavy=True,
-            tl_footprint=P.FIG4_TL_FOOTPRINT,
-            th_footprint=512 * MB,
-            runs=runs,
-            base_seed=base_seed,
-            node_config=node_config,
-        )
-        result = harness.run()
-        paged.append(result.tl_paged_bytes.mean / MB)
-        makespans.append(result.makespan.mean)
-        sojourns.append(result.sojourn_th.mean)
+    results = sweep_grid(
+        [
+            dict(primitive="suspend", progress_at_launch=progress_at_launch,
+                 heavy=True, tl_footprint=P.FIG4_TL_FOOTPRINT,
+                 th_footprint=512 * MB,
+                 node_config=P.paper_node_config().replace(
+                     swappiness=swappiness))
+            for swappiness in values
+        ],
+        runs=runs, base_seed=base_seed, sweep=sweep,
+    )
+    paged = [result.tl_paged_bytes.mean / MB for result in results]
+    makespans = [result.makespan.mean for result in results]
+    sojourns = [result.sojourn_th.mean for result in results]
 
     series = Series(
         name="swappiness-study",

@@ -106,8 +106,6 @@ def _capture_two_job(
             primitive=primitive,
             progress_at_launch=0.5,
             heavy=heavy,
-            runs=1,
-            base_seed=base_seed,
             keep_traces=True,
             collector=collector,
             profile=profile,

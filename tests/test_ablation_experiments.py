@@ -42,15 +42,17 @@ class TestGcPolicyPlumbing:
         from repro.experiments.harness import TwoJobHarness
         from repro.experiments.params import paper_hadoop_config
 
-        harness = TwoJobHarness(
-            "suspend",
-            0.5,
-            heavy=True,
-            runs=1,
-            hadoop_config=paper_hadoop_config().replace(jvm_heap_slack=0.5),
-        )
-        harness.gc_policy = GcPolicy.HOARD
-        hoarding = harness.run_once(seed=1)
-        harness.gc_policy = GcPolicy.RELEASE
-        releasing = harness.run_once(seed=1)
+        def run(policy):
+            return TwoJobHarness(
+                "suspend",
+                0.5,
+                heavy=True,
+                hadoop_config=paper_hadoop_config().replace(
+                    jvm_heap_slack=0.5
+                ),
+                gc_policy=policy,
+            ).run_once(seed=1)
+
+        hoarding = run(GcPolicy.HOARD)
+        releasing = run(GcPolicy.RELEASE)
         assert hoarding.tl_paged_bytes > releasing.tl_paged_bytes

@@ -272,10 +272,10 @@ class TestGatedUngatedDifferential:
 
         for heavy in (False, True):
             ungated = TwoJobHarness(
-                "suspend", 0.5, heavy=heavy, runs=1, keep_traces=True
+                "suspend", 0.5, heavy=heavy, keep_traces=True
             ).run_once(seed=77)
             gated = TwoJobHarness(
-                "suspend", 0.5, heavy=heavy, runs=1, keep_traces=True,
+                "suspend", 0.5, heavy=heavy, keep_traces=True,
                 admission=AdmissionConfig(),
             ).run_once(seed=77)
             assert (

@@ -266,7 +266,7 @@ def test_fig2_cell_equivalence(primitive):
     from repro.experiments.harness import TwoJobHarness
 
     config = P.paper_hadoop_config().replace(heartbeat_phases=4)
-    harness = TwoJobHarness(primitive, 0.5, runs=1, keep_traces=True,
+    harness = TwoJobHarness(primitive, 0.5, keep_traces=True,
                             hadoop_config=config)
     result = harness.run_once(seed=99)
     sim = result.trace_cluster.sim

@@ -47,6 +47,15 @@ class TestList:
             # Descriptions are reachable through aliases too.
             assert describe_experiment(alias)
 
+    def test_every_runner_declares_sweep_and_base_seed(self):
+        import inspect
+
+        from repro.experiments.registry import EXPERIMENTS
+
+        for name, runner in EXPERIMENTS.items():
+            parameters = inspect.signature(runner.resolve()).parameters
+            assert {"sweep", "base_seed"} <= set(parameters), name
+
     def test_memscale_registered_with_aliases(self):
         from repro.experiments.registry import get_experiment
 
@@ -59,17 +68,14 @@ class TestWorkers:
         assert main(["run", "fig1", "--workers", "-1"]) == 1
         assert "--workers must be >= 0" in capsys.readouterr().err
 
-    def test_serial_experiment_warns_on_workers(self, capsys):
-        # fig1 takes no workers kwarg; the flag is ignored with a note.
-        assert main(["run", "fig1", "--workers", "2", "--no-plots"]) == 0
-        assert "ignoring --workers" in capsys.readouterr().err
-
 
 class TestSweepFlags:
-    """Sweep flags reach only experiments that run a cell sweep, and
-    only for the command that gave them."""
+    """Every experiment takes every sweep flag, and only for the
+    command that gave them."""
 
     def test_sweep_flags_do_not_outlive_their_command(self, tmp_path, capsys):
+        import shutil
+
         from repro.experiments.harness import TwoJobHarness
         from repro.experiments.runner import Cell, run_cells
 
@@ -78,6 +84,8 @@ class TestSweepFlags:
                      "--checkpoint-dir", str(cache),
                      "--max-retries", "1"]) == 0
         capsys.readouterr()
+        assert (cache / "manifest.json").exists()  # fig1 swept into it
+        shutil.rmtree(cache)
         params = TwoJobHarness("kill", 0.5)._cell_params()
         cells = [Cell.make("repro.experiments.harness", "_harness_cell",
                            seed=5, **params)]
@@ -85,21 +93,22 @@ class TestSweepFlags:
         assert not cache.exists()
         assert capsys.readouterr().err == ""
 
-    def test_serial_experiment_warns_on_every_sweep_flag(
+    def test_formerly_serial_experiment_takes_every_sweep_flag(
         self, tmp_path, capsys
     ):
+        assert main(["run", "fig1", "--no-plots"]) == 0
+        serial = capsys.readouterr().out
         cache = tmp_path / "ck"
         assert main(["run", "fig1", "--no-plots", "--workers", "2",
                      "--checkpoint-dir", str(cache), "--max-retries", "1",
-                     "--cell-timeout", "5", "--snapshot-every", "10",
-                     "--chaos", "7", "--serve"]) == 0
-        err = capsys.readouterr().err
-        for flag in ("--workers", "--checkpoint-dir", "--max-retries",
-                     "--cell-timeout", "--snapshot-every", "--chaos",
-                     "--serve"):
-            assert f"fig1 runs no cell sweep; ignoring {flag}\n" in err
-        assert "observatory" not in err
-        assert not cache.exists()
+                     "--cell-timeout", "60", "--snapshot-every", "10",
+                     "--chaos", "7", "--serve", "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "ignoring" not in captured.err
+        assert "observatory at" in captured.err
+        assert main(["resume", str(cache)]) == 0
+        assert f"{cache}: 3/3 cells checkpointed" in capsys.readouterr().out
 
     def test_snapshot_every_without_checkpoint_dir_warns(self, capsys):
         assert main(["run", "fig2", "--quick", "--runs", "1", "--quiet",

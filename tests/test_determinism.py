@@ -62,8 +62,8 @@ class TestTraceDigest:
 
 class TestFig2Determinism:
     def test_harness_cell_repeatable(self):
-        first = TwoJobHarness("suspend", 0.5, runs=1, keep_traces=True).run_once(77)
-        second = TwoJobHarness("suspend", 0.5, runs=1, keep_traces=True).run_once(77)
+        first = TwoJobHarness("suspend", 0.5, keep_traces=True).run_once(77)
+        second = TwoJobHarness("suspend", 0.5, keep_traces=True).run_once(77)
         assert first.sojourn_th == second.sojourn_th
         assert first.makespan == second.makespan
         assert first.tl_paged_bytes == second.tl_paged_bytes
@@ -74,31 +74,27 @@ class TestFig2Determinism:
 
     @pytest.mark.integration
     def test_flat_grid_equals_per_primitive_sweeps(self):
-        # fig2's one-pool grid path must reproduce the serial sweeps.
-        from repro.experiments.harness import sweep_grid, sweep_progress
+        # The one-pool grid path must reproduce per-seed serial runs.
+        from repro.experiments.harness import sweep_grid
 
-        points = [0.3, 0.7]
+        coords = [(p, r) for p in ("wait", "kill") for r in (0.3, 0.7)]
         flat = sweep_grid(
-            ["wait", "kill"], progress_points=points, runs=2,
-            sweep=SweepOptions(workers=2),
+            [dict(primitive=p, progress_at_launch=r) for p, r in coords],
+            runs=2, base_seed=1000, sweep=SweepOptions(workers=2),
         )
-        for primitive in ("wait", "kill"):
-            serial = sweep_progress(
-                primitive, progress_points=points, runs=2
+        for (primitive, r), point in zip(coords, flat):
+            serial = [
+                TwoJobHarness(primitive, r).run_once(seed)
+                for seed in (1000, 1001)
+            ]
+            assert (point.primitive, point.progress_at_launch) == (
+                primitive, r
             )
-            for r in points:
-                assert flat[primitive][r].sojourn_th.mean == (
-                    serial[r].sojourn_th.mean
-                )
-                assert flat[primitive][r].makespan.mean == (
-                    serial[r].makespan.mean
-                )
-                assert flat[primitive][r].tl_paged_bytes.mean == (
-                    serial[r].tl_paged_bytes.mean
-                )
-                assert [c.sojourn_th for c in flat[primitive][r].runs] == [
-                    c.sojourn_th for c in serial[r].runs
-                ]
+            assert point.runs == serial
+            assert point.sojourn_th.mean == (
+                sum(c.sojourn_th for c in serial) / 2
+            )
+            assert point.makespan.mean == sum(c.makespan for c in serial) / 2
 
 
 class TestFaultsDeterminism:

@@ -171,7 +171,7 @@ def test_memscale_cell(monkeypatch, mode):
 def test_fig2_cell(monkeypatch, primitive):
     from repro.experiments.harness import TwoJobHarness
 
-    harness = TwoJobHarness(primitive, 0.5, runs=1, keep_traces=True)
+    harness = TwoJobHarness(primitive, 0.5, keep_traces=True)
     assert_elision_equivalent(monkeypatch, lambda: harness.run_once(seed=99))
 
 

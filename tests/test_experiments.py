@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.fig2_baseline import run_fig2
 from repro.experiments.fig4_memory_sweep import run_fig4
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import TwoJobHarness, sweep_grid
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.units import GB
 
@@ -23,12 +23,14 @@ POINTS = [0.25, 0.75]
 
 class TestHarness:
     def test_single_run_metrics_positive(self):
-        result = TwoJobHarness("suspend", 0.5, runs=1).run()
-        assert result.sojourn_th.mean > 0
-        assert result.makespan.mean > result.sojourn_th.mean
+        result = TwoJobHarness("suspend", 0.5).run_once(1000)
+        assert result.sojourn_th > 0
+        assert result.makespan > result.sojourn_th
 
     def test_runs_average_and_spread(self):
-        result = TwoJobHarness("suspend", 0.5, runs=3).run()
+        [result] = sweep_grid(
+            [dict(primitive="suspend", progress_at_launch=0.5)], runs=3
+        )
         assert result.sojourn_th.count == 3
         # The paper's 5% spread check.
         assert result.sojourn_th.max_relative_deviation < 0.05
@@ -39,7 +41,8 @@ class TestHarness:
         with pytest.raises(ConfigurationError):
             TwoJobHarness("suspend", 0.0)
         with pytest.raises(ConfigurationError):
-            TwoJobHarness("suspend", 0.5, runs=0)
+            sweep_grid([dict(primitive="suspend", progress_at_launch=0.5)],
+                       runs=0)
 
 
 class TestFig2Shapes:
@@ -73,8 +76,11 @@ class TestFig2Shapes:
     def test_suspend_beats_wait_even_at_90pct(self):
         # "outperforms all other primitives even when th arrives at 90%
         # completion rate of task tl"
-        wait = TwoJobHarness("wait", 0.9, runs=RUNS).run()
-        susp = TwoJobHarness("suspend", 0.9, runs=RUNS).run()
+        wait, susp = sweep_grid(
+            [dict(primitive="wait", progress_at_launch=0.9),
+             dict(primitive="suspend", progress_at_launch=0.9)],
+            runs=RUNS,
+        )
         assert susp.sojourn_th.mean < wait.sojourn_th.mean
 
 

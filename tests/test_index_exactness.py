@@ -289,7 +289,7 @@ def test_memscale_cell(monkeypatch, mode):
 def test_fig2_cell(monkeypatch, primitive):
     from repro.experiments.harness import TwoJobHarness
 
-    harness = TwoJobHarness(primitive, 0.5, runs=1)
+    harness = TwoJobHarness(primitive, 0.5)
     checked_run(monkeypatch, lambda: harness.run_once(seed=99))
 
 

@@ -492,7 +492,7 @@ def _fig2_cells():
     from repro.experiments.harness import TwoJobHarness
 
     params = TwoJobHarness(
-        primitive="suspend", progress_at_launch=0.5, runs=1, base_seed=611
+        primitive="suspend", progress_at_launch=0.5
     )._cell_params()
     return [
         Cell.make(

@@ -194,7 +194,7 @@ def test_fig2_cell(monkeypatch, primitive):
     from repro.experiments.harness import TwoJobHarness
 
     config = P.paper_hadoop_config().replace(heartbeat_phases=4)
-    harness = TwoJobHarness(primitive, 0.5, runs=1, keep_traces=True,
+    harness = TwoJobHarness(primitive, 0.5, keep_traces=True,
                             hadoop_config=config)
     # One tracker: every run has one member, so nothing is saved.
     assert_parking_equivalent(

@@ -119,7 +119,7 @@ def memscale_cell():
 
 
 def two_job_cell(primitive, heavy):
-    TwoJobHarness(primitive, 0.5, heavy=heavy, runs=1).run_once(seed=99)
+    TwoJobHarness(primitive, 0.5, heavy=heavy).run_once(seed=99)
 
 
 def faults_cell(scenario, primitive):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import _quick_kwargs
 from repro.experiments.registry import get_experiment
+from repro.experiments.runner import SweepOptions
 
 DIGESTS = {
     "fig1": "88d65414e049ecf049673e8798342da39e35d39fb10e21a8a952bc02cd076aa1",
@@ -39,4 +40,12 @@ def report_digest(report) -> str:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_quick_report_is_pinned(name):
     report = get_experiment(name)(**_quick_kwargs(name))
+    assert report_digest(report) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_two_workers_reproduce_the_serial_report(name):
+    report = get_experiment(name)(
+        **_quick_kwargs(name), sweep=SweepOptions(workers=2)
+    )
     assert report_digest(report) == DIGESTS[name]

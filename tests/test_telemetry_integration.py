@@ -69,7 +69,7 @@ class TestSilenceInvariant:
 
         def run(**telemetry):
             harness = TwoJobHarness(
-                "suspend", 0.5, runs=1, keep_traces=True, **telemetry
+                "suspend", 0.5, keep_traces=True, **telemetry
             )
             return harness.run_once(seed=4242)
 

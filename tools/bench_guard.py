@@ -102,8 +102,7 @@ def bench_two_job_suspend(scale: float = 1.0) -> dict:
     events = ops = 0
     labels = {}
     for seed in range(99, 99 + runs):
-        harness = TwoJobHarness("suspend", 0.5, runs=1, keep_traces=True,
-                                profile=True)
+        harness = TwoJobHarness("suspend", 0.5, keep_traces=True, profile=True)
         result = harness.run_once(seed=seed)
         sim = result.trace_cluster.sim
         events += sim.events_fired
