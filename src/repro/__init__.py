@@ -8,8 +8,8 @@ Michiardi, *OS-Assisted Task Preemption for Hadoop* (ICDCS 2014):
   top of an **OS model** with POSIX signals, LRU paging and swap;
 * the paper's **suspend/resume preemption primitive** plus the
   ``wait``, ``kill`` and Natjam-style checkpointing baselines;
-* **schedulers** (the paper's dummy trigger scheduler, FIFO, FAIR,
-  Capacity, HFSP, deadline) with preemption hooks;
+* **schedulers** (the paper's dummy trigger scheduler, FIFO, FAIR and
+  HFSP) with preemption hooks;
 * a **real-process prototype** (:mod:`repro.posixrt`) that drives
   genuine worker processes with SIGTSTP/SIGCONT/SIGKILL;
 * an **experiment harness** regenerating every figure of the paper's
@@ -41,8 +41,6 @@ from repro.preemption import (
     make_primitive,
 )
 from repro.schedulers import (
-    CapacityScheduler,
-    DeadlineScheduler,
     DummyScheduler,
     FairScheduler,
     FifoScheduler,
@@ -78,9 +76,7 @@ __all__ = [
     "FifoScheduler",
     "DummyScheduler",
     "FairScheduler",
-    "CapacityScheduler",
     "HfspScheduler",
-    "DeadlineScheduler",
     "JobSpec",
     "TaskSpec",
     "SwimGenerator",

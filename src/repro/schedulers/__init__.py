@@ -11,22 +11,16 @@ job).  This package provides:
 * :class:`~repro.schedulers.fifo.FifoScheduler` -- Hadoop's default
   priority-then-FIFO queue (JobQueueTaskScheduler);
 * :class:`~repro.schedulers.fair.FairScheduler` -- a simplified FAIR
-  scheduler with preemption hooks;
-* :class:`~repro.schedulers.capacity.CapacityScheduler` -- fixed-share
-  queues;
+  scheduler, the stock Hadoop scheduler that preempts;
 * :class:`~repro.schedulers.hfsp.HfspScheduler` -- the authors' HFSP
   size-based scheduler (the conclusion reports preliminary results of
   the suspend primitive inside HFSP);
-* :class:`~repro.schedulers.deadline.DeadlineScheduler` -- EDF with
-  preemption when a deadline is at risk;
 * :class:`~repro.schedulers.failure_aware.FailureAwareFifoScheduler`
   -- ATLAS-style failure-history awareness (blacklist avoidance,
   per-task tracker memory, recovery-first resubmission).
 """
 
 from repro.schedulers.base import TaskScheduler
-from repro.schedulers.capacity import CapacityScheduler
-from repro.schedulers.deadline import DeadlineScheduler
 from repro.schedulers.dummy import DummyScheduler
 from repro.schedulers.failure_aware import (
     FailureAwareFifoScheduler,
@@ -41,9 +35,7 @@ __all__ = [
     "FifoScheduler",
     "DummyScheduler",
     "FairScheduler",
-    "CapacityScheduler",
     "HfspScheduler",
-    "DeadlineScheduler",
     "FailureAwareMixin",
     "FailureAwareFifoScheduler",
 ]

@@ -6,20 +6,21 @@ notifies the scheduler of job lifecycle events.
 
 The paper keeps the preemption *mechanism* apart from the *policy*
 that picks victims, and so does this base class.  It owns the
-mechanism every preempting scheduler (FAIR, Capacity, deadline, HFSP)
-shares: the configurable
-:class:`~repro.preemption.base.PreemptionPrimitive`, the victim loop
-(:meth:`TaskScheduler._preempt_victims`) and the ledger of suspended
-tips with its restore loop (:meth:`TaskScheduler._restore_suspended`).
-Subclasses keep the policy: who is starved, which victims, and when a
-suspended tip may come back.
+mechanism the preempting schedulers (FAIR, HFSP) share: the
+configurable :class:`~repro.preemption.base.PreemptionPrimitive`, the
+victim loop (:meth:`TaskScheduler._preempt_victims`) and the ledger
+of suspended tips with its restore loop
+(:meth:`TaskScheduler._restore_suspended`).  It also owns what every
+scheduler shares when it assigns: the slot loop over a job's
+schedulable tips (:meth:`TaskScheduler._take_schedulable`) and delay
+scheduling for locality.  Subclasses keep the policy: who is starved,
+which victims, and when a suspended tip may come back.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.errors import NotPreemptibleError
 from repro.hadoop.job import JobInProgress
@@ -175,131 +176,9 @@ class TaskScheduler(abc.ABC):
                 kept.append(tip)
         self._suspended = kept
 
-    def _has_free_map_slot(self, tip: TaskInProgress) -> bool:
-        """True when the tracker ``tip`` is bound to has an idle map
-        slot (where a resume of ``tip`` would land)."""
-        tracker = self.jobtracker.trackers.get(tip.tracker or "")
-        return tracker is not None and tracker.free_map_slots > 0
-
     def _candidate_jobs(self) -> List[JobInProgress]:
         """Running jobs in submission order."""
         return self.jobtracker.running_jobs()
-
-    # -- slot sharing (FAIR pools, Capacity queues) ------------------------------
-
-    def _group_jobs(
-        self, key: Callable[[JobInProgress], str]
-    ) -> Dict[str, List[JobInProgress]]:
-        """Running jobs grouped by ``key`` (a pool or queue name)."""
-        groups: Dict[str, List[JobInProgress]] = defaultdict(list)
-        for job in self._candidate_jobs():
-            groups[key(job)].append(job)
-        return groups
-
-    def _total_map_slots(self) -> int:
-        return sum(t.map_slots for t in self.jobtracker.trackers.values())
-
-    @staticmethod
-    def _running_count(jobs: List[JobInProgress]) -> int:
-        """Tips of ``jobs`` holding a slot (running, or not yet stopped)."""
-        return sum(
-            1
-            for job in jobs
-            for tip in job.tips
-            if tip.state in (TipState.RUNNING, TipState.MUST_SUSPEND)
-        )
-
-    def _deal_slots(
-        self,
-        groups: list,
-        free_map_slots: int,
-        free_reduce_slots: int,
-        assigned: List[TaskInProgress],
-        admits: Optional[Callable[[str, List[JobInProgress]], bool]] = None,
-    ):
-        """Deal free slots round-robin over ``groups``, a list of
-        ``(name, jobs)`` pairs in offer order.
-
-        Each pass gives every group that ``admits`` (default: all) the
-        first schedulable tip, not yet in ``assigned``, of its oldest
-        job that has one fitting a free slot.  Passes repeat until one
-        places nothing or the slots run out.  Appends to ``assigned``
-        and returns the free ``(map, reduce)`` slots left.
-        """
-        taken = {tip.tip_id for tip in assigned}
-        progress_made = True
-        while progress_made and (free_map_slots > 0 or free_reduce_slots > 0):
-            progress_made = False
-            for name, jobs in groups:
-                if free_map_slots <= 0 and free_reduce_slots <= 0:
-                    break
-                if admits is not None and not admits(name, jobs):
-                    continue
-                tip = next(
-                    (
-                        t
-                        for job in sorted(
-                            jobs, key=lambda j: (j.submit_time, j.job_id)
-                        )
-                        for t in job.schedulable_tips()
-                        if t.tip_id not in taken
-                        and (
-                            free_map_slots > 0
-                            if t.kind.value == "map"
-                            else free_reduce_slots > 0
-                        )
-                    ),
-                    None,
-                )
-                if tip is None:
-                    continue
-                taken.add(tip.tip_id)
-                if tip.kind.value == "map":
-                    free_map_slots -= 1
-                else:
-                    free_reduce_slots -= 1
-                assigned.append(tip)
-                progress_made = True
-        return free_map_slots, free_reduce_slots
-
-    def _over_quota_candidates(
-        self,
-        groups: Dict[str, List[JobInProgress]],
-        starved: str,
-        quota_of: Callable[[str], int],
-    ) -> list:
-        """Eviction candidates for the ``starved`` group: running tips
-        of the other groups that hold more than their quota."""
-        from repro.preemption.eviction import collect_candidates
-
-        protected = {job.spec.name for job in groups.get(starved, [])}
-        over = {
-            job.spec.name
-            for name, jobs in groups.items()
-            if name != starved and self._running_count(jobs) > quota_of(name)
-            for job in jobs
-        }
-        return [
-            c
-            for c in collect_candidates(self.cluster, protect_jobs=protected)
-            if c.tip.job.spec.name in over
-        ]
-
-    @staticmethod
-    def job_pending_demand(job: JobInProgress) -> int:
-        """Tasks the job wants to run but cannot yet.
-
-        Jobs still in PREP count their whole task list: the setup task
-        is queued behind the busy slots, so the demand is real even
-        though no work tip is schedulable yet.  Preemption logic must
-        use this (not ``schedulable_tips``) or PREP jobs starve
-        silently.
-        """
-        from repro.hadoop.job import JobState
-
-        if job.state is JobState.PREP:
-            return len(job.tips)
-        return len(job.schedulable_tips())
 
     def _schedulable_order(self, job: JobInProgress) -> List[TaskInProgress]:
         """The order in which a job's schedulable tips are offered to

@@ -121,26 +121,19 @@ _job_ids = itertools.count(1)
 
 @dataclass
 class JobSpec:
-    """A named collection of task specs plus scheduling metadata.
-
-    ``deadline_seconds`` (relative to submission) is consumed by the
-    deadline scheduler; other schedulers ignore it.
-    """
+    """A named collection of task specs plus scheduling metadata."""
 
     name: str
     tasks: List[TaskSpec] = field(default_factory=list)
     priority: int = 0
     submit_offset: float = 0.0
     user: str = "default"
-    deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
             self.name = f"job-{next(_job_ids)}"
         if self.submit_offset < 0:
             raise ConfigurationError("submit_offset may not be negative")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError("deadline_seconds must be positive")
 
     @property
     def map_tasks(self) -> List[TaskSpec]:
@@ -157,8 +150,3 @@ class JobSpec:
         """Sum of all task inputs -- the 'size' that size-based
         schedulers such as HFSP prioritise on."""
         return sum(t.input_bytes for t in self.tasks)
-
-    def estimated_serial_seconds(self) -> float:
-        """Rough single-slot runtime estimate (used by HFSP's virtual
-        size and by the deadline scheduler)."""
-        return sum(t.input_bytes / t.parse_rate for t in self.tasks)

@@ -1,12 +1,7 @@
-"""Schedulers: FIFO, dummy, fair, capacity, HFSP, deadline."""
+"""Schedulers: FIFO, dummy, fair, HFSP."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.hadoop.states import TipState
 from repro.preemption.base import make_primitive
-from repro.schedulers.capacity import CapacityScheduler
-from repro.schedulers.deadline import DeadlineScheduler
 from repro.schedulers.dummy import DummyScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
@@ -16,12 +11,11 @@ from repro.workloads.jobspec import JobSpec, TaskSpec
 from tests.conftest import quick_cluster
 
 
-def job_spec(name, input_mb=35, tasks=1, priority=0, user="default", deadline=None):
+def job_spec(name, input_mb=35, tasks=1, priority=0, user="default"):
     return JobSpec(
         name=name,
         priority=priority,
         user=user,
-        deadline_seconds=deadline,
         tasks=[
             TaskSpec(input_bytes=input_mb * MB, parse_rate=7 * MB, output_bytes=0)
             for _ in range(tasks)
@@ -123,39 +117,6 @@ class TestFair:
         assert scheduler.preemptions == 0
 
 
-class TestCapacity:
-    def test_quota_split(self):
-        scheduler = CapacityScheduler(
-            queue_capacity={"prod": 0.5, "dev": 0.5}, default_queue="dev"
-        )
-        cluster = quick_cluster(scheduler=scheduler, map_slots=2)
-        cluster.submit_job(job_spec("p1", tasks=4, user="prod"))
-        cluster.submit_job(job_spec("d1", tasks=4, user="dev"))
-        cluster.start()
-        cluster.sim.run(until=8.0)
-        running = {"prod": 0, "dev": 0}
-        for job in cluster.jobtracker.jobs.values():
-            for tip in job.tips:
-                if tip.state is TipState.RUNNING:
-                    running[job.spec.user] += 1
-        assert running == {"prod": 1, "dev": 1}
-
-    def test_elastic_borrowing(self):
-        scheduler = CapacityScheduler(
-            queue_capacity={"prod": 0.5, "dev": 0.5}, default_queue="dev"
-        )
-        cluster = quick_cluster(scheduler=scheduler, map_slots=2)
-        job = cluster.submit_job(job_spec("d1", tasks=4, user="dev"))
-        cluster.start()
-        cluster.sim.run(until=8.0)
-        running = sum(1 for t in job.tips if t.state is TipState.RUNNING)
-        assert running == 2  # dev borrowed prod's idle quota
-
-    def test_invalid_capacities_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CapacityScheduler(queue_capacity={"a": 0.9, "b": 0.9})
-
-
 class TestHfsp:
     def test_smallest_job_first(self):
         scheduler = HfspScheduler()
@@ -191,41 +152,3 @@ class TestHfsp:
         cluster.sim.run(until=6.0)
         job.tips[0].progress = 0.5
         assert scheduler.remaining_size(job) < size_before
-
-
-class TestDeadline:
-    def test_edf_ordering(self):
-        scheduler = DeadlineScheduler()
-        cluster = quick_cluster(scheduler=scheduler, map_slots=1)
-        relaxed = cluster.submit_job(job_spec("relaxed", deadline=500.0))
-        urgent = cluster.submit_job(job_spec("urgent", deadline=60.0))
-        cluster.run_until_jobs_complete()
-        assert urgent.tips[0].first_launched_at < relaxed.tips[0].first_launched_at
-
-    def test_background_jobs_run_last(self):
-        scheduler = DeadlineScheduler()
-        cluster = quick_cluster(scheduler=scheduler, map_slots=1)
-        background = cluster.submit_job(job_spec("bg"))
-        deadlined = cluster.submit_job(job_spec("dl", deadline=100.0))
-        cluster.run_until_jobs_complete()
-        assert (
-            deadlined.tips[0].first_launched_at
-            < background.tips[0].first_launched_at
-        )
-
-    def test_slack_preemption(self):
-        scheduler = DeadlineScheduler(
-            primitive_factory=lambda c: make_primitive("suspend", c),
-            check_interval=1.0,
-            slack_margin=5.0,
-        )
-        cluster = quick_cluster(scheduler=scheduler, map_slots=1)
-        scheduler.attach_cluster(cluster)
-        bg = cluster.submit_job(job_spec("bg", input_mb=350))
-        cluster.start()
-        cluster.sim.run(until=6.0)
-        urgent = cluster.submit_job(job_spec("urgent", input_mb=14, deadline=15.0))
-        cluster.run_until_jobs_complete(timeout=7200)
-        assert scheduler.preemptions >= 1
-        assert urgent.state.value == "SUCCEEDED"
-        assert bg.state.value == "SUCCEEDED"

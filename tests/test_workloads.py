@@ -77,13 +77,10 @@ class TestJobSpec:
             tasks=[TaskSpec(input_bytes=70 * MB, parse_rate=7 * MB)] * 2,
         )
         assert spec.total_input_bytes == 140 * MB
-        assert spec.estimated_serial_seconds() == pytest.approx(20.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             JobSpec(name="j", submit_offset=-1.0)
-        with pytest.raises(ConfigurationError):
-            JobSpec(name="j", deadline_seconds=0)
 
 
 class TestSynthetic:
