@@ -12,7 +12,7 @@
     repro profile scale --engine        # engine self-profile (labels)
     repro checkpoint fig2 --at 40 --out ck.bin   # snapshot mid-flight
     repro resume ck.bin                 # restore + finish the frozen run
-    repro run scale --workers 4 --serve 8800     # + live HTTP observatory
+    repro run scale --workers 4 --checkpoint-dir results/sweep
     repro watch results/sweep           # ANSI dashboard over a ledger
     repro real-demo --input-mb 24       # real-process prototype
 
@@ -88,12 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="inject a seeded chaos plan (worker kills, "
                      "hangs, corrupt payloads) into the sweep; results "
                      "must be -- and are -- identical to a clean run")
-    run.add_argument("--serve", nargs="?", type=int, const=0, default=None,
-                     metavar="PORT",
-                     help="serve the live sweep observatory over HTTP "
-                     "while the run executes: GET / (dashboard), /state "
-                     "(JSON snapshot), /events (SSE ledger tail); "
-                     "default PORT 0 picks a free one")
 
     rep = sub.add_parser("reproduce", help="regenerate figures")
     rep.add_argument("--figure", "-f", action="append", default=[],
@@ -190,9 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="live ANSI terminal dashboard for a sweep "
         "(progress, ETA, mid-sweep quantiles)",
     )
-    wat.add_argument("target", help="a --checkpoint-dir sweep directory, "
-                     "a ledger.jsonl file, or a `repro run --serve` "
-                     "observatory URL")
+    wat.add_argument("target", help="a --checkpoint-dir sweep directory "
+                     "or a ledger.jsonl file")
     wat.add_argument("--interval", type=float, default=0.5,
                      help="redraw period in seconds (default 0.5)")
     wat.add_argument("--once", action="store_true",
@@ -303,24 +296,12 @@ def _sweep_options(args):
         from repro.experiments.supervisor import SupervisorConfig
 
         supervise = SupervisorConfig(**knobs)
-    ledger = None
-    if flags.get("serve") is not None:
-        import tempfile
-
-        from repro.obs.ledger import ledger_path
-
-        # Without a cache directory, park the ledger in a throwaway
-        # spot purely so the HTTP endpoints have a file to tail.
-        directory = cache_dir or tempfile.mkdtemp(prefix="repro-obs-")
-        os.makedirs(directory, exist_ok=True)
-        ledger = ledger_path(directory)
     return SweepOptions(
         workers=workers,
         cache_dir=cache_dir,
         # Per-cell progress lines: on by default for parallel runs
         # (the ones long enough to want them), off under --quiet.
         progress=workers > 1 and not args.quiet,
-        ledger_path=ledger,
         supervise=supervise,
         chaos_seed=flags.get("chaos"),
     )
@@ -342,28 +323,7 @@ def _cmd_run(args) -> int:
     name = resolve_name(args.experiment)
     sweep = _sweep_options(args)
     kwargs = _runner_kwargs(name, args, sweep)
-    server = None
-    if sweep.ledger_path is not None:
-        from repro.obs.server import ObsServer
-
-        server = ObsServer(sweep.ledger_path, port=args.serve).start()
-        print(
-            f"observatory at {server.url} -- GET / (dashboard), "
-            "/state (JSON), /events (SSE); or `repro watch "
-            f"{server.url}`",
-            file=sys.stderr,
-        )
-    try:
-        report = get_experiment(name)(**kwargs)
-    finally:
-        if server is not None:
-            server.stop()
-            if sweep.cache_dir is None:
-                # The ledger sat in a throwaway directory of our own.
-                import shutil
-
-                shutil.rmtree(os.path.dirname(sweep.ledger_path),
-                              ignore_errors=True)
+    report = get_experiment(name)(**kwargs)
     _emit_report(report, args.out, plots=not args.no_plots)
     return 0
 

@@ -1,15 +1,14 @@
-"""Live sweep observatory: run ledger, streaming aggregation, serving.
+"""Sweep observation: run ledger, streaming aggregation, two readers.
 
 The supervisor and serial runner narrate every sweep into an
 append-only JSONL **run ledger** (:mod:`repro.obs.ledger`); a
 **streaming aggregator** (:mod:`repro.obs.aggregate`) folds the ledger
-into live sweep state -- progress, ETA over virtual-cost-weighted
-cells, merged metric sketches with mid-sweep quantiles; and a
-**serving layer** exposes that state as Server-Sent Events plus JSON
-snapshots (:mod:`repro.obs.server`), an ANSI terminal dashboard
-(:mod:`repro.obs.watch`), and the runner's own console progress lines
-(:mod:`repro.obs.console`).  All three read the same events, so they
-cannot disagree.
+into sweep state -- progress, ETA over virtual-cost-weighted cells,
+merged metric sketches with mid-sweep quantiles.  Two readers render
+it: the ``repro watch`` ANSI terminal dashboard
+(:mod:`repro.obs.watch`), live or after the fact, and the runner's
+own console progress lines (:mod:`repro.obs.console`).  Both read the
+same events, so they cannot disagree.
 
 The ledger is observation only: it never touches the simulation, its
 RNG, or the TraceLog, and the differential suite pins ledger-on ==
@@ -23,9 +22,7 @@ from repro.obs.ledger import (
     SCHEMA_VERSION,
     Ledger,
     iter_ledger,
-    tail_ledger,
 )
-from repro.obs.server import ObsServer
 from repro.obs.watch import render_dashboard, watch
 
 __all__ = [
@@ -33,11 +30,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "Ledger",
     "iter_ledger",
-    "tail_ledger",
     "SweepState",
     "replay",
     "ConsoleRenderer",
-    "ObsServer",
     "render_dashboard",
     "watch",
 ]

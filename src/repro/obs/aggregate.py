@@ -24,8 +24,7 @@ replayed from the file) and it maintains, incrementally,
 Because the fold is deterministic in the event sequence,
 :func:`replay` -- fold the whole file -- reconstructs the exact state
 the live subscription built, which is how ``repro watch`` backfills on
-attach, how ``GET /state`` answers, and how the schema tests pin the
-format.
+attach and how the schema tests pin the format.
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ class SweepState:
         return out
 
     def to_dict(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """The ``GET /state`` JSON snapshot."""
+        """The JSON-ready snapshot that ``repro watch`` renders."""
         if now is None:
             now = time.time()
         eta = self.eta_seconds(now)

@@ -2,10 +2,9 @@
 
 One renderer, one source of truth: the serial and supervised paths
 both emit the same ledger events, and this subscriber turns them into
-the familiar ``[3/12] done ...`` lines.  Because ``repro watch`` and
-the SSE feed fold the *same* events, the three views cannot disagree
-about what the sweep has done -- the satellite fix for the old ad-hoc
-per-path ``print`` calls.
+the familiar ``[3/12] done ...`` lines.  Because ``repro watch`` folds
+the *same* events, the two views cannot disagree about what the sweep
+has done.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class ConsoleRenderer:
 
     Maintains its own :class:`~repro.obs.aggregate.SweepState` fold so
     the counts, rate and ETA it prints are exactly the ones ``repro
-    watch`` and ``GET /state`` would show at the same instant.
+    watch`` would show at the same instant.
     """
 
     def __init__(self, out: TextIO = None):

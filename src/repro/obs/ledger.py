@@ -22,9 +22,10 @@ record is written with a single ``os.write`` of one complete
 parent and worker processes interleave only at line boundaries.  The
 one failure mode left is a writer SIGKILLed mid-``write`` leaving a
 truncated final line; readers therefore *skip* any undecodable line
-with a warning instead of raising (:func:`iter_ledger`), and the tailer
-(:func:`tail_ledger`) additionally holds back a final line that does
-not yet end in a newline -- it may simply not be finished.
+with a warning instead of raising (:func:`iter_ledger`), and treat a
+final line that does not yet end in a newline as not yet written -- it
+may simply not be finished (``repro watch`` folds it once its newline
+arrives).
 
 The ledger is trace- and RNG-silent by construction: it is written
 from outside the simulation, between events, and nothing in the
@@ -184,54 +185,3 @@ def iter_ledger(path: str, warn: bool = True) -> Iterator[Dict[str, Any]]:
             record = _decode_line(raw.rstrip(b"\n"), lineno, path, warn)
             if record is not None:
                 yield record
-
-
-def tail_ledger(
-    path: str,
-    poll: float = 0.2,
-    stop: Optional[Callable[[], bool]] = None,
-    from_start: bool = True,
-    warn: bool = True,
-) -> Iterator[Dict[str, Any]]:
-    """Follow a ledger file like ``tail -f``, yielding records forever.
-
-    Starts at the beginning (``from_start``) or the current end, then
-    polls for growth every ``poll`` seconds until ``stop()`` returns
-    true (checked between yields) or a ``sweep-finish`` record has been
-    yielded and the file stops growing.  A partial final line is held
-    back until its newline arrives; corrupt complete lines are skipped
-    with a warning, exactly like :func:`iter_ledger`.
-    """
-    offset = 0
-    lineno = 0
-    buffer = b""
-    finished = False
-    while True:
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            size = offset
-        if not from_start and offset == 0:
-            offset = size
-            from_start = True  # only skip once
-        grew = size > offset
-        if grew:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                buffer += fh.read(size - offset)
-            offset = size
-            while b"\n" in buffer:
-                raw, buffer = buffer.split(b"\n", 1)
-                lineno += 1
-                record = _decode_line(raw, lineno, path, warn)
-                if record is None:
-                    continue
-                if record.get("event") == "sweep-finish":
-                    finished = True
-                yield record
-        if finished and not grew:
-            return
-        if stop is not None and stop():
-            return
-        if not grew:
-            time.sleep(poll)

@@ -1,11 +1,9 @@
 """``repro watch``: an ANSI terminal dashboard over a sweep's state.
 
-Watches either a sweep directory (reads ``ledger.jsonl`` directly,
-backfilling by replaying the file, then following appends) or a
-running observatory URL (polls ``GET /state``).  Both sources produce
-the same ``/state`` snapshot dict, and :func:`render_dashboard` turns
-it into one screenful -- so the terminal, the browser dashboard and
-the SSE feed always tell the same story.
+Watches a sweep directory or its ``ledger.jsonl``: it backfills by
+folding the whole file, then folds only what is appended, live or after
+the sweep has finished.  :func:`render_dashboard` turns the folded
+state's snapshot dict into one screenful.
 
 The redraw is curses-free: home the cursor, repaint, erase the
 remainder (``ESC[H`` ... ``ESC[J]``).  ``--once`` renders a single
@@ -14,14 +12,14 @@ frame and exits (how the tests and the README transcript drive it).
 
 from __future__ import annotations
 
-import json
+import os
 import sys
 import time
-import urllib.request
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.server import _Follower
+from repro.obs.aggregate import SweepState
+from repro.obs.ledger import _decode_line, ledger_path
 
 #: cells shown in the table; the rest collapse into a summary line
 MAX_ROWS = 24
@@ -56,8 +54,43 @@ _STATE_MARKS = {
 }
 
 
+class _Follower:
+    """Incremental ledger -> :class:`SweepState` fold.
+
+    Each :meth:`refresh` reads only the bytes appended since the last
+    one and holds back a final line without its newline until the
+    writer finishes it, so every record is folded exactly once.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.state = SweepState()
+        self._offset = 0
+        self._lineno = 0
+        self._buffer = b""
+
+    def refresh(self) -> SweepState:
+        """Fold any newly appended complete lines, then return state."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self._offset)
+                chunk = fh.read()
+        except OSError:
+            return self.state
+        self._offset += len(chunk)
+        self._buffer += chunk
+        while b"\n" in self._buffer:
+            raw, self._buffer = self._buffer.split(b"\n", 1)
+            self._lineno += 1
+            record = _decode_line(raw, self._lineno, self.path, warn=False)
+            if record is not None:
+                self.state.apply(record)
+        return self.state
+
+
 def render_dashboard(state: Dict[str, Any], width: int = 100) -> str:
-    """One screenful of sweep state from a ``/state`` snapshot dict."""
+    """One screenful of sweep state from a
+    :meth:`~repro.obs.aggregate.SweepState.to_dict` snapshot."""
     total = state.get("total", 0)
     done = state.get("done", 0)
     progress = state.get("progress", {})
@@ -116,14 +149,6 @@ def render_dashboard(state: Dict[str, Any], width: int = 100) -> str:
     return "\n".join(lines)
 
 
-def _fetch_url_state(url: str) -> Dict[str, Any]:
-    target = url.rstrip("/")
-    if not target.endswith("/state"):
-        target += "/state"
-    with urllib.request.urlopen(target, timeout=10.0) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
 def watch(
     target: str,
     interval: float = 0.5,
@@ -133,33 +158,22 @@ def watch(
 ) -> int:
     """Render the live dashboard until the sweep finishes.
 
-    ``target`` is a sweep directory (containing ``ledger.jsonl``), a
-    ledger file path, or an ``http(s)://`` observatory URL.  Returns 0
-    when the sweep finished, 1 when ``max_seconds`` elapsed first.
+    ``target`` is a sweep directory (containing ``ledger.jsonl``) or a
+    ledger file path.  Returns 0 when the sweep finished, 1 when
+    ``max_seconds`` elapsed first.
     """
-    import os
-
     out = out if out is not None else sys.stdout
-    follower: Optional[_Follower] = None
-    if target.startswith(("http://", "https://")):
-        source = lambda: _fetch_url_state(target)  # noqa: E731
-    else:
-        path = target
-        if os.path.isdir(path):
-            from repro.obs.ledger import ledger_path
-
-            path = ledger_path(path)
-        if not os.path.exists(path):
-            raise ConfigurationError(
-                f"{target}: no ledger found (expected a sweep directory "
-                "with a ledger.jsonl, a ledger file, or an http URL)"
-            )
-        follower = _Follower(path)
-        source = lambda: follower.refresh().to_dict()  # noqa: E731
+    path = ledger_path(target) if os.path.isdir(target) else target
+    if not os.path.exists(path):
+        raise ConfigurationError(
+            f"{target}: no ledger found (expected a sweep directory "
+            "with a ledger.jsonl, or a ledger file)"
+        )
+    follower = _Follower(path)
     started = time.monotonic()
     is_tty = hasattr(out, "isatty") and out.isatty()
     while True:
-        state = source()
+        state = follower.refresh().to_dict()
         frame = render_dashboard(state)
         if is_tty and not once:
             # Home, repaint, erase whatever the last frame left behind.

@@ -102,11 +102,10 @@ class TestSweepFlags:
         assert main(["run", "fig1", "--no-plots", "--workers", "2",
                      "--checkpoint-dir", str(cache), "--max-retries", "1",
                      "--cell-timeout", "60", "--snapshot-every", "10",
-                     "--chaos", "7", "--serve", "--quiet"]) == 0
+                     "--chaos", "7", "--quiet"]) == 0
         captured = capsys.readouterr()
         assert captured.out == serial
         assert "ignoring" not in captured.err
-        assert "observatory at" in captured.err
         assert main(["resume", str(cache)]) == 0
         assert f"{cache}: 3/3 cells checkpointed" in capsys.readouterr().out
 
@@ -116,17 +115,6 @@ class TestSweepFlags:
         assert "ignoring --snapshot-every without one" in (
             capsys.readouterr().err
         )
-
-    def test_served_run_leaves_no_temp_dir(self, tmp_path, monkeypatch,
-                                           capsys):
-        import tempfile
-
-        monkeypatch.setenv("TMPDIR", str(tmp_path))
-        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
-        assert main(["run", "fig2", "--quick", "--runs", "1", "--serve",
-                     "--quiet", "--no-plots"]) == 0
-        assert "observatory at" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.integration
     def test_checkpointed_cli_sweep_resumes_from_its_cache(

@@ -1,4 +1,4 @@
-"""The run ledger, its streaming aggregation, and the observatory.
+"""The run ledger, its streaming aggregation, and its readers.
 
 Three claims carry the subsystem:
 
@@ -19,9 +19,8 @@ import them by module path.
 import io
 import json
 import os
-import threading
+import socket
 import time
-import urllib.request
 
 import pytest
 
@@ -39,14 +38,13 @@ from repro.obs import (
     SCHEMA_VERSION,
     ConsoleRenderer,
     Ledger,
-    ObsServer,
     SweepState,
     iter_ledger,
     render_dashboard,
     replay,
-    tail_ledger,
     watch,
 )
+from repro.obs.watch import _Follower
 from repro.telemetry.registry import MetricRegistry
 
 
@@ -186,38 +184,20 @@ class TestCrashTolerantReading:
         assert state.events_applied == 0
         assert not state.finished
 
-    def test_tail_holds_back_partial_line_until_newline(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        with open(path, "wb") as fh:
-            fh.write(b'{"v":1,"seq":1,"event":"cell-start","index":0}\n')
-            fh.write(b'{"v":1,"seq":2,"event":"sweep-fin')
-            fh.flush()
-            got = []
-
-            def feed():
-                # Complete the line, then finish the file, while the
-                # tailer below is mid-iteration.
-                time.sleep(0.15)
-                fh.write(b'ish"}\n')
-                fh.flush()
-
-            threading.Thread(target=feed, daemon=True).start()
-            for record in tail_ledger(path, poll=0.02, warn=False):
-                got.append(record["event"])
-        assert got == ["cell-start", "sweep-finish"]
-
-    def test_tail_stop_callback_ends_iteration(self, tmp_path):
+    def test_follower_holds_back_partial_line_until_newline(self, tmp_path):
         path = self._write(
-            tmp_path, b'{"v":1,"seq":1,"event":"cell-start","index":0}\n'
+            tmp_path,
+            b'{"v":1,"seq":1,"event":"cell-start","index":0}\n'
+            b'{"v":1,"seq":2,"event":"cell-fin',  # writer mid-append
         )
-        stopped = {"n": 0}
-
-        def stop():
-            stopped["n"] += 1
-            return stopped["n"] > 2
-
-        got = list(tail_ledger(path, poll=0.01, stop=stop, warn=False))
-        assert [r["event"] for r in got] == ["cell-start"]
+        follower = _Follower(path)
+        assert follower.refresh().event_counts == {"cell-start": 1}
+        with open(path, "ab") as fh:
+            fh.write(b'ish","index":0}\n')
+        assert follower.refresh().event_counts == {
+            "cell-start": 1, "cell-finish": 1,
+        }
+        assert follower.refresh().events_applied == 2
 
 
 # ----------------------------------------------------------------------
@@ -611,6 +591,15 @@ class TestWatch:
         with pytest.raises(ConfigurationError, match="no ledger"):
             watch(str(tmp_path / "nowhere"), once=True, out=io.StringIO())
 
+    def test_watch_url_target_rejected_without_a_socket(self, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("repro watch opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        with pytest.raises(ConfigurationError, match="no ledger"):
+            watch("http://127.0.0.1:1/", once=True, out=io.StringIO())
+
     def test_cli_watch_once(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -618,81 +607,3 @@ class TestWatch:
         run_cells(probes(2), workers=1, cache_dir=cache)
         assert main(["watch", cache, "--once"]) == 0
         assert "2/2 cells" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# HTTP observatory: /state + SSE against a live supervised sweep
-# ----------------------------------------------------------------------
-
-
-def _get_json(url: str) -> dict:
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
-class TestObsServer:
-    def test_state_and_sse_against_live_parallel_sweep(self, tmp_path):
-        cache = str(tmp_path / "sweep")
-        os.makedirs(cache)
-        ledger_file = os.path.join(cache, LEDGER_FILENAME)
-        cells = probes(8)
-        error = []
-
-        def sweep():
-            try:
-                run_cells(cells, workers=4, cache_dir=cache,
-                          supervise=fast_config())
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                error.append(exc)
-
-        with ObsServer(ledger_file) as server:
-            runner_thread = threading.Thread(target=sweep)
-            runner_thread.start()
-            # Live probe: /state must answer while cells are in flight
-            # (possibly before the first event lands -- that's an
-            # empty-but-valid snapshot, never an error).
-            mid = _get_json(server.url + "/state")
-            assert "progress" in mid and "eta_seconds" in mid
-            runner_thread.join(timeout=120)
-            assert not runner_thread.is_alive() and not error
-
-            deadline = time.monotonic() + 10
-            while True:
-                final = _get_json(server.url + "/state")
-                if final["finished"] or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
-            assert final["finished"] and final["done"] == 8
-            assert final["rate_cost_per_s"] >= 0.0
-            assert {c["state"] for c in final["cells"]} == {"done"}
-
-            # SSE: the full backfilled story, one frame per record.
-            events = []
-            request = urllib.request.Request(server.url + "/events")
-            with urllib.request.urlopen(request, timeout=10) as stream:
-                for raw in stream:
-                    line = raw.decode("utf-8").strip()
-                    if line.startswith("event:"):
-                        events.append(line.split(":", 1)[1].strip())
-                    if events and events[-1] == "sweep-finish":
-                        break
-            assert events[0] == "sweep-start"
-            assert events.count("cell-finish") == 8
-            assert events[-1] == "sweep-finish"
-
-            # Replay of the same file equals what the server folded.
-            assert replay(ledger_file, warn=False).to_dict(
-                now=0.0
-            )["event_counts"] == final["event_counts"]
-
-    def test_dashboard_html_and_unknown_path(self, tmp_path):
-        ledger_file = str(tmp_path / "ledger.jsonl")
-        Ledger(ledger_file).close()
-        with ObsServer(ledger_file) as server:
-            with urllib.request.urlopen(server.url + "/", timeout=10) as r:
-                body = r.read().decode("utf-8")
-            assert "repro sweep observatory" in body
-            assert "EventSource('/events')" in body
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(server.url + "/nope", timeout=10)
-            assert excinfo.value.code == 404
