@@ -74,7 +74,7 @@ def build_cell(kind: str, seed: Optional[int] = None) -> Tuple[Any, Dict]:
         return harness.build_cluster(seed), {"kind": kind, "seed": seed}
     params = {**defaults["coords"], "num_jobs": defaults["num_jobs"],
               "seed": seed, "trace": True}
-    cluster, _ = replay_study(kind)._build_run(**params)
+    cluster = replay_study(kind)._build_run(**params)
     return cluster, {"kind": kind, **params}
 
 

@@ -2,22 +2,22 @@
 studies: build -> drive -> collect.
 
 A study module keeps only what differs: ``_build_run`` (a loaded,
-not yet driven cluster plus its :class:`CompletionCounter`), the
-``CELL_NAME``/``SKETCH_PREFIX`` format strings over its cell params,
-``_extra_metrics(cluster)`` and ``cell_seed``, the one owner of its
-seed coordinates.  :func:`finish_replay` is the only finish path --
-fresh cells, ``repro checkpoint``/``resume``, bench_guard and the
-supervisor's mid-cell resume -- and :func:`run_replay_grid` plus the
-report helpers are the shared tail of every ``run_*_study``.
+not yet driven cluster), the ``CELL_NAME``/``SKETCH_PREFIX`` format
+strings over its cell params, ``_extra_metrics(cluster)`` and
+``cell_seed``, the one owner of its seed coordinates.
+:func:`finish_replay` is the only finish path -- fresh cells, ``repro
+checkpoint``/``resume``, bench_guard and the supervisor's mid-cell
+resume -- and :func:`run_replay_grid` plus the report helpers are the
+shared tail of every ``run_*_study``.
 
-The drive loop steps until every generated job is terminal (the
-generic run-until helper would stop early if the cluster drained while
-a late arrival was still on the event heap).  The tally is a class,
-not a closure, so a mid-run cluster pickles.  An :class:`AutoSnapshot`
-persists the cluster **between** engine steps -- never as a scheduled
-event, which would bump ``events_fired`` and write a TraceLog record,
-so a resumed run could no longer be byte-identical to an undisturbed
-one.  Observation stays outside the event heap.
+A cell is driven by the cluster's one loop,
+:meth:`~repro.hadoop.cluster.HadoopCluster.run_until_jobs_complete`,
+which steps until no job is live and no SWIM arrival is still on the
+event heap.  An :class:`AutoSnapshot` is that loop's between-steps
+observer: it persists the cluster **between** engine steps -- never
+as a scheduled event, which would bump ``events_fired`` and write a
+TraceLog record, so a resumed run could no longer be byte-identical
+to an undisturbed one.  Observation stays outside the event heap.
 """
 
 from __future__ import annotations
@@ -45,46 +45,10 @@ REPLAY_STUDIES: Dict[str, str] = {
 }
 
 
-class CompletionCounter:
-    """Picklable job-completion tally registered with the jobtracker."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, job) -> None:
-        self.count += 1
-
-
-def install_counter(cluster) -> CompletionCounter:
-    """Create a counter and register it for job completions."""
-    counter = CompletionCounter()
-    cluster.jobtracker.on_job_complete(counter)
-    return counter
-
-
-def find_counter(cluster) -> CompletionCounter:
-    """The counter a (restored) cluster carries.
-
-    Raises :class:`ConfigurationError` when the cluster was not driven
-    through :func:`install_counter` -- the continuation path needs the
-    tally to know when to stop.
-    """
-    for callback in cluster.jobtracker._completion_callbacks:
-        if isinstance(callback, CompletionCounter):
-            return callback
-    raise ConfigurationError(
-        "cluster carries no CompletionCounter; it was not built by a "
-        "study drive loop"
-    )
-
-
 def load_replay(cluster, collector, mix: str, arrival, num_jobs: int):
     """The common end of every ``_build_run``: attach the scheduler and
     telemetry ``collector``, submit ``num_jobs`` SWIM jobs of ``mix``
-    arriving per ``arrival``, and install the completion tally.
-    Returns ``(cluster, counter)``."""
+    arriving per ``arrival``.  Returns the cluster."""
     cluster.scheduler.attach_cluster(cluster)
     if collector is not None:
         collector.attach(cluster.sim.trace_log)
@@ -93,7 +57,7 @@ def load_replay(cluster, collector, mix: str, arrival, num_jobs: int):
     )
     for spec in generator.generate_workload(num_jobs):
         cluster.submit_job(spec)
-    return cluster, install_counter(cluster)
+    return cluster
 
 
 def replay_study(kind: str):
@@ -126,14 +90,15 @@ def jobs_for(trackers: int, num_jobs: Optional[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Drive loop with mid-cell auto-snapshot
+# Mid-cell auto-snapshot
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AutoSnapshot:
-    """Persist the driven cluster to ``path`` every ``every`` virtual
-    seconds, narrating each write to ``ledger`` (if any).
+    """The drive loop's observer: persist the driven cluster to
+    ``path`` every ``every`` virtual seconds, narrating each write to
+    ``ledger`` (if any).
 
     ``meta`` is the continuation recipe ``{"kind": kind, **params}``,
     so a crashed shard can restore the file and finish the cell through
@@ -145,7 +110,7 @@ class AutoSnapshot:
     meta: Dict[str, Any]
     ledger: Any = None
 
-    def write(self, cluster) -> None:
+    def __call__(self, cluster) -> None:
         from repro.checkpoint.core import save
 
         save(cluster, self.path,
@@ -157,42 +122,6 @@ class AutoSnapshot:
             )
 
 
-def drive_to_completion(
-    cluster,
-    counter: CompletionCounter,
-    num_jobs: int,
-    what: str,
-    deadline_seconds: float = 86_400.0,
-    autosnapshot: Optional[AutoSnapshot] = None,
-) -> None:
-    """Step the simulation until ``num_jobs`` completions are tallied.
-
-    Raises :class:`ConfigurationError` when more than
-    ``deadline_seconds`` of simulated time pass first (a deadlock
-    guard).  With an ``autosnapshot`` the loop persists the cluster
-    between steps whenever the clock crosses the next interval
-    boundary -- trace- and event-silent, so the driven run is
-    byte-identical with or without it.
-    """
-    cluster.start()
-    deadline = cluster.sim.now + deadline_seconds
-    next_due = (
-        cluster.sim.now + autosnapshot.every
-        if autosnapshot is not None else float("inf")
-    )
-    while counter.count < num_jobs:
-        if cluster.sim.now >= deadline:
-            raise ConfigurationError(
-                f"{what} still running after "
-                f"{deadline_seconds:.0f}s of simulated time"
-            )
-        if cluster.sim.now >= next_due:
-            autosnapshot.write(cluster)
-            next_due = cluster.sim.now + autosnapshot.every
-        if not cluster.sim.step():
-            break
-
-
 # ----------------------------------------------------------------------
 # One cell: build -> drive -> collect
 # ----------------------------------------------------------------------
@@ -200,7 +129,7 @@ def drive_to_completion(
 
 def run_replay(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Build and finish one fresh replay cell (every ``_run_once``)."""
-    cluster, _ = replay_study(kind)._build_run(**params)
+    cluster = replay_study(kind)._build_run(**params)
     return finish_replay(cluster, {"kind": kind, **params})
 
 
@@ -219,12 +148,7 @@ def finish_replay(
     are re-identified from the specs, which ride inside a checkpoint.
     """
     study = replay_study(meta["kind"])
-    num_jobs = int(meta["num_jobs"])
-    what = f"{meta['kind']} cell {study.CELL_NAME.format(**meta)}"
-    counter = find_counter(cluster)
-    drive_to_completion(
-        cluster, counter, num_jobs, what, autosnapshot=autosnapshot
-    )
+    cluster.run_until_jobs_complete(timeout=86_400.0, observer=autosnapshot)
 
     jobs = list(cluster.jobtracker.jobs.values())
     sojourns = sorted(
@@ -233,8 +157,9 @@ def finish_replay(
     if not sojourns:
         # Name the stall instead of dividing by an empty job list.
         raise ConfigurationError(
-            f"{what} drained its event queue with 0/{num_jobs} jobs "
-            "complete (scheduling deadlock?)"
+            f"{meta['kind']} cell {study.CELL_NAME.format(**meta)} drained "
+            f"its event queue with 0/{meta['num_jobs']} jobs complete "
+            "(scheduling deadlock?)"
         )
     small = [
         job.sojourn_time
@@ -249,7 +174,7 @@ def finish_replay(
         "makespan": finish,
         "wasted": cluster.jobtracker.wasted.total(),
         **study._extra_metrics(cluster),
-        "jobs_completed": float(counter.count),
+        "jobs_completed": float(cluster.jobtracker.jobs_completed),
         "events": float(cluster.sim.events_fired),
     }
     out["sketch"] = cell_sketch(

@@ -231,8 +231,7 @@ def _build_run(
     profile: bool = False,
     heartbeat_phases: int = 0,
 ):
-    """Build one fully loaded (but not yet driven) memscale cell;
-    returns ``(cluster, completion_counter)`` (see
+    """Build one fully loaded (but not yet driven) memscale cell (see
     :func:`repro.experiments.scale_study._build_run`)."""
     node_config = P.paper_node_config().replace(swap_bytes=swap_bytes)
     hadoop_config = P.paper_hadoop_config().replace(

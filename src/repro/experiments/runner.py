@@ -316,17 +316,19 @@ def cell_cost(result: Any) -> float:
     return 1.0
 
 
-def _open_ledger(path: Optional[str], progress: bool):
+def _open_ledger(cache_dir: Optional[str], progress: bool):
     """The sweep's :class:`~repro.obs.ledger.Ledger`, or None.
 
-    A file sink is attached when ``path`` is set; a console renderer is
-    subscribed when ``progress`` is on.  With neither, there is no
-    ledger at all -- zero overhead for bare library sweeps.
+    A file sink at ``<cache_dir>/ledger.jsonl`` is attached when
+    ``cache_dir`` is set; a console renderer is subscribed when
+    ``progress`` is on.  With neither, there is no ledger at all --
+    zero overhead for bare library sweeps.
     """
-    if path is None and not progress:
+    if not cache_dir and not progress:
         return None
-    from repro.obs.ledger import Ledger
+    from repro.obs.ledger import Ledger, ledger_path
 
+    path = ledger_path(cache_dir) if cache_dir else None
     try:
         ledger = Ledger(path)
     except OSError as exc:
@@ -382,8 +384,6 @@ class SweepOptions:
       them, so a killed sweep restarted with the same directory
       re-runs only the missing cells;
     * ``progress`` -- per-cell progress lines on stderr;
-    * ``ledger_path`` -- write the run ledger here instead of
-      ``<cache_dir>/ledger.jsonl`` (live observation without caching);
     * ``supervise`` -- the
       :class:`~repro.experiments.supervisor.SupervisorConfig` (retries,
       timeouts, mid-cell snapshots); setting it supervises even a
@@ -396,7 +396,6 @@ class SweepOptions:
     workers: int = 1
     cache_dir: Optional[str] = None
     progress: bool = False
-    ledger_path: Optional[str] = None
     supervise: Optional["SupervisorConfig"] = None
     chaos_seed: Optional[int] = None
 
@@ -415,7 +414,6 @@ def run_cells(
     supervise: Optional["SupervisorConfig"] = None,
     on_quarantine: str = "raise",
     progress: bool = False,
-    ledger_path: Optional[str] = None,
     chaos_seed: Optional[int] = None,
 ) -> List[Any]:
     """Execute every cell; results come back in cell order.
@@ -438,8 +436,8 @@ def run_cells(
     mid-sweep flushes the manifest before re-raising -- Ctrl-C never
     loses completed cells.
 
-    ``workers``, ``cache_dir``, ``supervise``, ``progress``,
-    ``ledger_path`` and ``chaos_seed`` are the fields of
+    ``workers``, ``cache_dir``, ``supervise``, ``progress`` and
+    ``chaos_seed`` are the fields of
     :class:`SweepOptions` (:meth:`SweepOptions.run` passes them all).
     With quarantined cells, ``on_quarantine="raise"`` (default) raises
     :class:`~repro.errors.QuarantineError` *after* the sweep completes
@@ -482,11 +480,7 @@ def run_cells(
     if chaos_seed is not None:
         supervise = _with_chaos(supervise, keys, chaos_seed)
 
-    if ledger_path is None and cache_dir:
-        from repro.obs.ledger import ledger_path as _default_ledger_path
-
-        ledger_path = _default_ledger_path(cache_dir)
-    ledger = _open_ledger(ledger_path, progress)
+    ledger = _open_ledger(cache_dir, progress)
 
     # Manifest freshness: quarantine records and supervisor counters
     # surface through ledger events *as they happen*, so the manifest

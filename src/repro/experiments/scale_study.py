@@ -158,8 +158,7 @@ def _build_run(
     """Build one fully loaded (but not yet driven) replay cell.
 
     Checkpoint tooling snapshots it mid-flight and finishes it with
-    :func:`repro.experiments.drive.finish_replay`.  Returns
-    ``(cluster, completion_counter)``.
+    :func:`repro.experiments.drive.finish_replay`.
     """
     if scenario not in SCENARIOS:
         raise ConfigurationError(

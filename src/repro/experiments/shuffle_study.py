@@ -129,8 +129,7 @@ def _build_run(
     profile: bool = False,
     heartbeat_phases: int = 0,
 ):
-    """Build one fully loaded (but not yet driven) shuffle cell;
-    returns ``(cluster, completion_counter)`` (see
+    """Build one fully loaded (but not yet driven) shuffle cell (see
     :func:`repro.experiments.scale_study._build_run`)."""
     if oversubscription <= 0:
         raise ConfigurationError("oversubscription must be positive")

@@ -222,7 +222,7 @@ def execute_cell_resumable(
             )
             _remove_quietly(midck)
     if cluster is None:
-        cluster, _ = replay_study(kind)._build_run(**cell.kwargs)
+        cluster = replay_study(kind)._build_run(**cell.kwargs)
     result = finish_replay(
         cluster, meta, AutoSnapshot(midck, snapshot_every, meta, ledger)
     )

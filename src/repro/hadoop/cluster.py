@@ -3,13 +3,13 @@
 :class:`HadoopCluster` is the main entry point of the library's
 simulation side::
 
-    from repro import HadoopCluster, two_job_microbenchmark
+    from repro import MB, HadoopCluster, two_job_microbenchmark
 
     cluster = HadoopCluster(num_nodes=1, seed=7)
     tl, th = two_job_microbenchmark()
     cluster.create_input("/data/tl", 512 * MB)
     job_l = cluster.submit_job(tl)
-    cluster.run()
+    cluster.run_until_jobs_complete()
     print(job_l.sojourn_time)
 
 The experiment harness builds on the helpers here: exact progress
@@ -103,6 +103,8 @@ class HadoopCluster:
         self.kernels: Dict[str, NodeKernel] = {}
         self.trackers: Dict[str, TaskTracker] = {}
         self._started = False
+        #: submissions scheduled by :meth:`submit_job` but not yet made
+        self._deferred_submissions = 0
 
         for i in range(num_nodes):
             hostname = f"node{i:02d}"
@@ -146,56 +148,48 @@ class HadoopCluster:
             tracker.start(stagger=0.05 + 0.11 * slot)
         self.jobtracker.start_expiry_monitor()
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Start (if needed) and run the simulation.
-
-        Without ``until`` the simulation runs until the event heap
-        drains, which happens only if heartbeat loops are stopped; in
-        practice callers pass ``until`` or use
-        :meth:`run_until_jobs_complete`.
-        """
-        self.start()
-        self.sim.run(until=until, max_events=max_events)
-
     def run_until_jobs_complete(
         self,
         jobs: Optional[List[JobInProgress]] = None,
         timeout: float = 36_000.0,
+        observer=None,
     ) -> None:
-        """Run until every given (or every submitted) job is terminal.
+        """Start (if needed) and step the simulation until every job in
+        ``jobs`` is terminal -- or, without ``jobs``, until no job is
+        live and no deferred submission is still on the event heap.
 
-        Raises :class:`~repro.errors.ConfigurationError` on timeout --
-        a deadlock guard for tests.
+        ``observer(cluster)``, when given, runs **between** steps
+        whenever the clock reaches its next due instant, which then
+        moves ``observer.every`` virtual seconds on.  It is never a
+        scheduled event, so the run is identical with or without it.
+
+        Raises :class:`~repro.errors.ConfigurationError` when
+        ``timeout`` simulated seconds pass first (a deadlock guard).
         """
         self.start()
-        deadline = self.sim.now + timeout
-
-        # The wait list shrinks as jobs finish, so the per-event check
-        # is O(still-running) rather than O(all jobs ever submitted).
-        # When no explicit list is given, the pool is refreshed after
-        # draining so jobs submitted by scheduled events are picked up.
-        pending: List[JobInProgress] = []
-
-        def outstanding() -> bool:
-            nonlocal pending
-            pending = [job for job in pending if not job.state.terminal]
-            if pending:
-                return True
-            if jobs is not None:
-                pending = [job for job in jobs if not job.state.terminal]
-            else:
-                pending = self.jobtracker.running_jobs()
-            return bool(pending)
-
-        while outstanding():
-            if self.sim.now >= deadline:
+        sim = self.sim
+        deadline = sim.now + timeout
+        next_due = (
+            sim.now + observer.every if observer is not None else float("inf")
+        )
+        # The JobTracker's live-job index: a job leaves it in the same
+        # callback that makes it terminal, so the stop test is O(1).
+        live = self.jobtracker.job_index.job_pos
+        while (
+            live or self._deferred_submissions
+            if jobs is None
+            else not all(job.state.terminal for job in jobs)
+        ):
+            now = sim.now
+            if now >= deadline:
                 raise ConfigurationError(
                     f"jobs still running after {timeout:.0f}s of simulated time"
                 )
-            if not self.sim.step():
+            if now >= next_due:
+                observer(self)
+                next_due = now + observer.every
+            if not sim.step():
                 break
-        # Let in-flight bookkeeping (cleanup slots, heartbeats) settle a
-        # little so metrics queried right after completion are stable.
 
     # -- HDFS helpers ------------------------------------------------------------
 
@@ -224,13 +218,18 @@ class HadoopCluster:
         offset = spec.submit_offset if delay is None else delay
         if offset <= 0:
             return self.jobtracker.submit_job(spec)
+        self._deferred_submissions += 1
         self.sim.schedule(
             offset,
-            self.jobtracker.submit_job,
+            self._submit_deferred,
             spec,
             label=f"cluster.submit:{spec.name}",
         )
         return None
+
+    def _submit_deferred(self, spec: JobSpec) -> None:
+        self._deferred_submissions -= 1
+        self.jobtracker.submit_job(spec)
 
     def job_by_name(self, name: str) -> JobInProgress:
         """Find a submitted job by its spec name."""

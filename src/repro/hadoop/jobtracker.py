@@ -96,6 +96,9 @@ class JobTracker:
         self._descriptors: Dict[str, AttemptDescriptor] = {}
         self._job_counter = itertools.count(1)
         self._completion_callbacks: List[Callable[[JobInProgress], None]] = []
+        #: jobs that reached SUCCEEDED, or FAILED via the retry cap
+        #: (what :meth:`on_job_complete` callbacks are told of)
+        self.jobs_completed = 0
         #: hooks that may rewrite a TaskSpec at attempt-creation time
         #: (used by checkpoint-based primitives to fast-forward)
         self.spec_transformers: List[
@@ -785,6 +788,7 @@ class JobTracker:
 
     def _announce_completion(self, job: JobInProgress) -> None:
         self.job_index.remove(job)
+        self.jobs_completed += 1
         self.trace("jt.job-done", job=job.job_id, name=job.spec.name)
         self.scheduler.job_completed(job)
         for callback in self._completion_callbacks:

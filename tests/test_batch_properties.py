@@ -113,7 +113,7 @@ def _assert_job_coherent(job):
     phases=st.sampled_from([0, 2]),
 )
 def test_cached_views_coherent_mid_flight(seed_salt, stop_at, scenario, phases):
-    cluster, _ = _build_run(
+    cluster = _build_run(
         scenario, "suspend", 8, 6,
         derive_seed(9000, "scale", scenario, 8, "suspend", seed_salt),
         heartbeat_phases=phases,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hadoop.cluster import HadoopCluster
+from repro.hadoop.job import JobState
 from repro.hadoop.states import TipState
 from repro.units import MB
 from repro.workloads.jobspec import JobSpec, TaskSpec
@@ -97,6 +98,17 @@ class TestLookupHelpers:
         cluster2.submit_job(job_spec())
         with pytest.raises(ConfigurationError):
             cluster2.run_until_jobs_complete(timeout=30.0)
+
+    def test_run_until_jobs_complete_waits_for_deferred_submission(self):
+        # The early job drains long before the late one is submitted:
+        # a deferred submission still on the heap keeps the loop going.
+        cluster = quick_cluster()
+        cluster.submit_job(job_spec("early", input_mb=7))
+        cluster.submit_job(job_spec("late", input_mb=7), delay=600.0)
+        cluster.run_until_jobs_complete()
+        for name in ("early", "late"):
+            assert cluster.job_by_name(name).state is JobState.SUCCEEDED
+        assert cluster.job_by_name("late").submit_time == 600.0
 
 
 class TestWhenJobProgress:

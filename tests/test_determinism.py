@@ -11,7 +11,7 @@ parallel runner's bit-identity guarantee rests on.
 import pytest
 
 from repro.experiments.faults_study import _run_once as faults_cell
-from repro.experiments.harness import TwoJobHarness
+from repro.experiments.harness import TwoJobHarness, measure_two_job
 from repro.experiments.runner import SweepOptions
 from repro.experiments.scale_study import _run_once as scale_cell
 from repro.experiments.scale_study import run_scale_study
@@ -60,6 +60,18 @@ class TestTraceDigest:
         assert a.digest() != digest_before
 
 
+class _CountingObserver:
+    """A drive-loop observer due at every step that only counts."""
+
+    every = 0.0
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, cluster):
+        self.calls += 1
+
+
 class TestFig2Determinism:
     def test_harness_cell_repeatable(self):
         first = TwoJobHarness("suspend", 0.5, keep_traces=True).run_once(77)
@@ -70,6 +82,23 @@ class TestFig2Determinism:
         assert (
             first.trace_cluster.sim.trace_log.digest()
             == second.trace_cluster.sim.trace_log.digest()
+        )
+
+    def test_observer_between_every_step_is_silent(self):
+        # An every=0 observer runs between every pair of engine steps;
+        # observation must not move the cell's trace or its metrics.
+        harness = TwoJobHarness("suspend", 0.5, keep_traces=True)
+        plain = harness.build_cluster(77)
+        plain.run_until_jobs_complete(timeout=14_400.0)
+        observed = harness.build_cluster(77)
+        observer = _CountingObserver()
+        observed.run_until_jobs_complete(timeout=14_400.0, observer=observer)
+        assert observer.calls > 0
+        assert (
+            observed.sim.trace_log.digest() == plain.sim.trace_log.digest()
+        )
+        assert measure_two_job(observed, keep_trace=False) == (
+            measure_two_job(plain, keep_trace=False)
         )
 
     @pytest.mark.integration
@@ -188,7 +217,7 @@ class TestScale2000GoldenTrace:
         from repro.experiments.drive import finish_replay
 
         kwargs = self._cell_kwargs(0)
-        cluster, _ = scale_study._build_run(
+        cluster = scale_study._build_run(
             kwargs["scenario"], kwargs["primitive_name"],
             kwargs["trackers"], kwargs["num_jobs"], kwargs["seed"],
             trace=True, heartbeat_phases=kwargs["heartbeat_phases"],

@@ -233,7 +233,7 @@ def test_scale_cell_with_killed_jobs(monkeypatch):
 
     def run():
         seed = derive_seed(9000, "scale", "steady", 8, "suspend", 0)
-        cluster, _ = _build_run(
+        cluster = _build_run(
             "steady", "suspend", 8, 10, seed,
             heartbeat_phases=4,
         )

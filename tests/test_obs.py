@@ -360,12 +360,6 @@ class TestRunnerLedger:
                 by_key[entry["key"]]["state"] in ("done", "cached")
             )
 
-    def test_explicit_ledger_path_without_cache_dir(self, tmp_path):
-        path = str(tmp_path / "standalone.jsonl")
-        run_cells(probes(2), workers=1, ledger_path=path)
-        state = replay(path, warn=False)
-        assert state.done == 2 and state.finished
-
     def test_manifest_fresh_after_every_cell(self, tmp_path):
         """Satellite regression: a sweep killed mid-flight must leave a
         manifest whose done flags reflect every completed cell.  The
@@ -486,10 +480,10 @@ class TestLedgerSilence:
 
     def _differential(self, cells, tmp_path):
         baseline = run_cells(cells, workers=1)          # no ledger at all
-        path = str(tmp_path / "on.jsonl")
+        cache = str(tmp_path / "on")
         # renderer subscribed too (progress) -- still silent
-        observed = run_cells(cells, workers=1, ledger_path=path, progress=True)
-        assert os.path.getsize(path) > 0
+        observed = run_cells(cells, workers=1, cache_dir=cache, progress=True)
+        assert os.path.getsize(os.path.join(cache, LEDGER_FILENAME)) > 0
         return baseline, observed
 
     def test_scale_cells_identical_with_ledger_on(self, tmp_path):

@@ -320,7 +320,7 @@ class TestMidcellResume:
     ):
         from repro.checkpoint.cells import CELL_DEFAULTS, build_cell
         from repro.checkpoint.core import save
-        from repro.experiments.drive import find_counter, replay_study
+        from repro.experiments.drive import replay_study
         from repro.experiments.runner import execute_cell
 
         cluster, meta = build_cell(kind)
@@ -332,7 +332,10 @@ class TestMidcellResume:
         cluster.start()
         while cluster.sim.now < CELL_DEFAULTS[kind]["at"] and cluster.sim.step():
             pass
-        assert find_counter(cluster).count < params["num_jobs"]
+        terminal = sum(
+            job.state.terminal for job in cluster.jobtracker.jobs.values()
+        )
+        assert terminal < params["num_jobs"]
         midck = tmp_path / (cell_key(cell) + ".midck")
         save(cluster, str(midck), meta=meta)
 

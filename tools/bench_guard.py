@@ -236,7 +236,7 @@ def _steady_scale_cell(trackers: int, num_jobs: int) -> dict:
         num_jobs=num_jobs, seed=cell_seed("steady", trackers, "suspend"),
         heartbeat_phases=4,
     )
-    cluster, _ = _build_run(**params)
+    cluster = _build_run(**params)
     out = finish_replay(cluster, {"kind": "scale", **params})
     sketch = json.dumps(out["sketch"], sort_keys=True).encode("utf-8")
     sim = cluster.sim
